@@ -30,27 +30,52 @@ const UNROLL: u64 = 14;
 /// are fully deterministic, so the seed is fixed.
 const SEED: u64 = 0;
 
-/// One on/off measurement pair for a single workload.
-#[derive(Debug, Clone, Copy)]
+/// Timed repetitions per workload and mode. Host timing on a shared
+/// machine is noisy (single samples of the same run have spread from
+/// 109 to 179 MIPS), so every MIPS figure is the median of these, with
+/// the minimum and maximum reported beside it.
+pub const REPS: usize = 5;
+
+/// One on/off measurement for a single workload, repeated [`REPS`]
+/// times.
+#[derive(Debug, Clone)]
 pub struct Leg {
     pub insns: u64,
     pub cycles_on: u64,
     pub cycles_off: u64,
-    pub secs_on: f64,
-    pub secs_off: f64,
+    /// Wall-clock seconds of each repetition, ascending.
+    pub secs_on: Vec<f64>,
+    pub secs_off: Vec<f64>,
+}
+
+/// Median of an ascending, odd-length sample.
+fn median(sorted: &[f64]) -> f64 {
+    sorted[sorted.len() / 2]
 }
 
 impl Leg {
+    fn mips(&self, secs: f64) -> f64 {
+        self.insns as f64 / secs / 1e6
+    }
+
+    /// Median MIPS with the layer on.
     pub fn mips_on(&self) -> f64 {
-        self.insns as f64 / self.secs_on / 1e6
+        self.mips(median(&self.secs_on))
     }
 
+    /// Slowest and fastest repetition with the layer on, in MIPS.
+    pub fn mips_on_range(&self) -> (f64, f64) {
+        (self.mips(self.secs_on[self.secs_on.len() - 1]), self.mips(self.secs_on[0]))
+    }
+
+    /// Median MIPS with the layer off.
     pub fn mips_off(&self) -> f64 {
-        self.insns as f64 / self.secs_off / 1e6
+        self.mips(median(&self.secs_off))
     }
 
+    /// Ratio of the median wall-clock times.
     pub fn speedup(&self) -> f64 {
-        self.secs_off / self.secs_on
+        median(&self.secs_off) / median(&self.secs_on)
     }
 
     pub fn cycles_match(&self) -> bool {
@@ -59,7 +84,7 @@ impl Leg {
 }
 
 /// The ALU-loop and mixed-loop measurements.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ThroughputResult {
     pub alu: Leg,
     pub mem: Leg,
@@ -91,28 +116,39 @@ impl ThroughputResult {
 
     /// One-line JSON for `BENCH_sim_throughput.json`, in the unified
     /// bench schema (`benchmark` + `seed`, like `BENCH_smp_scaling.json`).
+    /// Every MIPS and rate field is a median over `reps` repetitions;
+    /// the `_min`/`_max` fields give the spread of the layer-on legs.
     pub fn json(&self) -> String {
+        let (alu_min, alu_max) = self.alu.mips_on_range();
+        let (mem_min, mem_max) = self.mem.mips_on_range();
         format!(
             concat!(
-                "{{\"benchmark\":\"sim_throughput\",\"seed\":{},\"insns\":{},",
+                "{{\"benchmark\":\"sim_throughput\",\"seed\":{},\"reps\":{},\"insns\":{},",
                 "\"insns_per_sec_cache_on\":{:.0},\"insns_per_sec_cache_off\":{:.0},",
-                "\"mips_cache_on\":{:.2},\"mips_cache_off\":{:.2},",
+                "\"mips_cache_on\":{:.2},\"mips_cache_on_min\":{:.2},\"mips_cache_on_max\":{:.2},",
+                "\"mips_cache_off\":{:.2},",
                 "\"speedup\":{:.2},\"cycles_cache_on\":{},\"cycles_cache_off\":{},",
-                "\"mem_insns\":{},\"mips_mem_on\":{:.2},\"mips_mem_off\":{:.2},",
+                "\"mem_insns\":{},\"mips_mem_on\":{:.2},\"mips_mem_on_min\":{:.2},\"mips_mem_on_max\":{:.2},",
+                "\"mips_mem_off\":{:.2},",
                 "\"mem_speedup\":{:.2},\"cycles_mem_on\":{},\"cycles_mem_off\":{},",
                 "\"jit\":{},\"cycles_match\":{}}}"
             ),
             SEED,
+            REPS,
             self.alu.insns,
-            self.alu.insns as f64 / self.alu.secs_on,
-            self.alu.insns as f64 / self.alu.secs_off,
+            self.alu.mips_on() * 1e6,
+            self.alu.mips_off() * 1e6,
             self.alu.mips_on(),
+            alu_min,
+            alu_max,
             self.alu.mips_off(),
             self.alu.speedup(),
             self.alu.cycles_on,
             self.alu.cycles_off,
             self.mem.insns,
             self.mem.mips_on(),
+            mem_min,
+            mem_max,
             self.mem.mips_off(),
             self.mem.speedup(),
             self.mem.cycles_on,
@@ -206,12 +242,24 @@ fn measure(insns_target: u64, workload: Workload) -> Leg {
     // Warm-up both paths (JIT-less, but touches the allocator and heap).
     timed_run(insns_target / 10 + 1, false, workload);
     timed_run(insns_target / 10 + 1, true, workload);
-    // The accelerated run goes last so a warm host (page tables,
-    // allocator) biases *against* the layer being measured.
-    let (insns_off, cycles_off, secs_off) = timed_run(insns_target, false, workload);
-    let (insns_on, cycles_on, secs_on) = timed_run(insns_target, true, workload);
-    assert_eq!(insns_on, insns_off, "instruction counts must not depend on the acceleration layer");
-    Leg { insns: insns_on, cycles_on, cycles_off, secs_on, secs_off }
+    let mut secs_on = Vec::with_capacity(REPS);
+    let mut secs_off = Vec::with_capacity(REPS);
+    let mut counts = None;
+    for _ in 0..REPS {
+        // The accelerated run goes last in each pair so a warm host
+        // (page tables, allocator) biases *against* the layer measured.
+        let (insns_off, cycles_off, off) = timed_run(insns_target, false, workload);
+        let (insns_on, cycles_on, on) = timed_run(insns_target, true, workload);
+        assert_eq!(insns_on, insns_off, "instruction counts must not depend on the acceleration layer");
+        let rep = (insns_on, cycles_on, cycles_off);
+        assert_eq!(*counts.get_or_insert(rep), rep, "repetitions of a deterministic run must agree");
+        secs_on.push(on);
+        secs_off.push(off);
+    }
+    secs_on.sort_by(f64::total_cmp);
+    secs_off.sort_by(f64::total_cmp);
+    let (insns, cycles_on, cycles_off) = counts.expect("REPS >= 1");
+    Leg { insns, cycles_on, cycles_off, secs_on, secs_off }
 }
 
 /// Measure both workloads in both modes.

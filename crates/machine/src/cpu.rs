@@ -304,6 +304,10 @@ pub struct Machine {
     /// epoch-shell `catch_unwind` containment (see [`crate::smp`]);
     /// `None` (the default) costs one branch per run-loop iteration.
     pub(crate) panic_after: Option<u64>,
+    /// Host-only breakpoint armed by [`Machine::break_before`]: the
+    /// virtual PC and the hits left until it fires. `None` (the default)
+    /// costs one branch per run-loop iteration.
+    pub(crate) breakpoint: Option<(u64, u64)>,
 }
 
 impl Machine {
@@ -331,6 +335,7 @@ impl Machine {
             smp: crate::smp::SmpState::default(),
             chaos: crate::chaos::ChaosState::default(),
             panic_after: None,
+            breakpoint: None,
         }
     }
 
@@ -341,6 +346,37 @@ impl Machine {
     /// count. Test-only by construction; production code never arms it.
     pub fn set_panic_after(&mut self, threshold: Option<u64>) {
         self.panic_after = threshold;
+    }
+
+    /// Arm a host-only breakpoint: [`Machine::run`] stops just before the
+    /// instruction at virtual address `pc` executes for the `hits`-th
+    /// time from now, returns the resumable [`Exit::Limit`], and disarms
+    /// the breakpoint. Every arrival of the run loop at `pc` counts as a
+    /// hit, in any EL or address space, including the re-execution of
+    /// an instruction after a fault. Arming replaces any earlier
+    /// breakpoint.
+    ///
+    /// The breakpoint has zero modelled cost: cycles, instructions,
+    /// journals and every cache are exactly what an unbroken run would
+    /// reach at that instruction boundary, on every engine. It is read at
+    /// block starts only; blocks are clamped to end before `pc` the way
+    /// the instruction budget clamps them, so an armed breakpoint keeps
+    /// superblock and JIT speed. [`Machine::run_epoch`] ignores it and
+    /// leaves it armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hits` is zero or `pc` is not 4-byte aligned.
+    pub fn break_before(&mut self, pc: u64, hits: u64) {
+        assert!(hits >= 1, "a breakpoint needs at least one hit");
+        assert_eq!(pc % 4, 0, "breakpoint PC must be instruction aligned");
+        self.breakpoint = Some((pc, hits));
+    }
+
+    /// The armed breakpoint as `(pc, hits left)`, or `None` once it has
+    /// fired (or was never armed).
+    pub fn breakpoint(&self) -> Option<(u64, u64)> {
+        self.breakpoint
     }
 
     /// Invalidate the translation-regime memo (a different core's
@@ -626,13 +662,15 @@ impl Machine {
     /// execute without a per-instruction probe, but every instruction
     /// boundary the budget-driven loop below would observe (quantum
     /// expiry, exits, faults) is observed identically — a block never
-    /// executes past the remaining budget.
+    /// executes past the remaining budget. An armed breakpoint (see
+    /// [`Machine::break_before`]) clamps blocks the same way.
     pub fn run(&mut self, limit: u64) -> Exit {
         if self.fetch_cache && self.tlb.fastpath() {
             let mut remaining = limit;
             while remaining > 0 {
                 self.check_panic_hook();
-                let (used, exit) = self.step_block(remaining);
+                let Some(room) = self.breakpoint_room() else { return Exit::Limit };
+                let (used, exit) = self.step_block(remaining.min(room));
                 if let Some(exit) = exit {
                     return exit;
                 }
@@ -642,6 +680,9 @@ impl Machine {
         }
         for _ in 0..limit {
             self.check_panic_hook();
+            if self.breakpoint_room().is_none() {
+                return Exit::Limit;
+            }
             if let Some(exit) = self.step() {
                 return exit;
             }
@@ -657,6 +698,26 @@ impl Machine {
                 panic!("injected host panic for containment testing (insns={})", self.cpu.insns);
             }
         }
+    }
+
+    /// The breakpoint check, once per run-loop iteration: counts a hit
+    /// when the next instruction is the armed one. `None` means the
+    /// breakpoint fires now (it is consumed); otherwise the result is
+    /// how many instructions the next block may retire without reaching
+    /// the breakpoint's PC. Blocks are straight-line, so a block that
+    /// starts at that PC cannot reach it again.
+    #[inline]
+    fn breakpoint_room(&mut self) -> Option<u64> {
+        let Some((pc, hits)) = self.breakpoint else { return Some(u64::MAX) };
+        if self.cpu.pc == pc {
+            if hits == 1 {
+                self.breakpoint = None;
+                return None;
+            }
+            self.breakpoint = Some((pc, hits - 1));
+            return Some(u64::MAX);
+        }
+        Some(if pc > self.cpu.pc { (pc - self.cpu.pc) / 4 } else { u64::MAX })
     }
 
     /// Execute one instruction. Returns `Some(exit)` when control leaves
@@ -723,7 +784,9 @@ impl Machine {
                 // than it retires: re-check the quantum here rather than
                 // at extraction time (the interpreter path's `max` clamp)
                 // and fall back to the clamped interpreter superblock
-                // when the quantum is nearly spent.
+                // when the quantum is nearly spent or an armed
+                // breakpoint lies inside the block (`run` folds its
+                // distance into `budget`).
                 if u64::from(block.total) <= budget {
                     let (used, exit) = self.step_jit(&block, pc, pa_page, frame_version);
                     debug_assert!(used <= budget, "JIT block overran its quantum budget");
@@ -741,8 +804,8 @@ impl Machine {
         };
         // Lower this superblock for future entries — but only when its
         // boundary is natural (terminal, empty slot, page end), not an
-        // artifact of a nearly-spent quantum: compiled blocks must have
-        // budget-independent shape.
+        // artifact of a nearly-spent quantum or a breakpoint clamp:
+        // compiled blocks must have budget-independent shape.
         if self.jit && (buf.len() < max || max == SUPERBLOCK_MAX as usize) {
             if let Some(block) = crate::jit::lower(pc, &buf, self.model.insn_base) {
                 self.tlb.store_jit_block(cfg.vmid(), cfg.asid(), el, pc, block);

@@ -375,7 +375,10 @@ impl Machine {
         if order.len() <= 1 {
             if let Some(&c) = order.first() {
                 self.switch_core(c);
+                // Like a shell, the in-place run ignores the breakpoint.
+                let breakpoint = self.breakpoint.take();
                 let (exit, used) = run_shell_contained(self, budgets[c]);
+                self.breakpoint = breakpoint;
                 results[c] = (exit, used);
                 if exit != Exit::Limit {
                     self.smp.barrier_stalls += 1;
@@ -441,6 +444,7 @@ impl Machine {
                     smp: SmpState::default(),
                     chaos,
                     panic_after: self.panic_after,
+                    breakpoint: None,
                 },
             ));
         }

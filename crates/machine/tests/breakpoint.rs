@@ -1,0 +1,233 @@
+//! Host breakpoints (`Machine::break_before`) across every engine.
+//!
+//! One EL0 program runs under the reference step loop, the fetch-cache
+//! step, fast-path superblocks and the template JIT. A breakpoint placed
+//! at a block start, in the middle of a superblock, inside an already
+//! compiled JIT block, or at a fall-through entry must stop every engine
+//! at the same `(pc, insns, cycles)`, be consumed when it fires, and
+//! leave no trace: resuming to the exit must reach exactly the state of
+//! an unbroken run, event journal included.
+
+use lz_arch::asm::Asm;
+use lz_arch::esr::ExceptionClass;
+use lz_arch::pstate::PState;
+use lz_arch::sysreg::{hcr, sctlr, ttbr, SysReg};
+use lz_arch::Platform;
+use lz_machine::pte::S1Perms;
+use lz_machine::walk::{alloc_table, s1_map_page};
+use lz_machine::{Exit, Machine};
+
+const CODE: u64 = 0x40_0000;
+const DATA: u64 = 0x50_0000;
+const LIMIT: u64 = 1_000_000;
+const OUTER: u64 = 6;
+const INNER: u64 = 5;
+/// Arrivals at the inner loop top after which the JIT serves the inner
+/// loop's block compiled (the first passes re-extract it while the data
+/// page's TLB entry settles).
+const WARM: u64 = 8;
+
+/// The engines, as `(name, fetch cache, fast path, JIT)`.
+const ENGINES: [(&str, bool, bool, bool); 4] = [
+    ("reference step", false, false, false),
+    ("fetch-cache step", true, false, false),
+    ("superblock", true, true, false),
+    ("jit", true, true, true),
+];
+
+/// Addresses of interest in the test program.
+#[derive(Debug, Clone, Copy)]
+struct Marks {
+    /// First instruction of the outer loop (entered by fall-through,
+    /// then as a branch target).
+    outer: u64,
+    /// First instruction of the inner loop (a branch target).
+    inner: u64,
+    /// An ALU instruction in the middle of the inner loop's block.
+    mid: u64,
+    /// The fall-through after the inner loop's `b.ne`.
+    after_inner: u64,
+    /// The return point of the in-loop `svc`.
+    after_svc: u64,
+}
+
+/// Nested loops: a long ALU run with a store and a load in the inner
+/// loop (JIT-compilable, with slow segments), an `svc` per outer
+/// iteration (a journalled trap the driver resumes from), and a final
+/// `svc` with `x0 == 0`.
+fn program() -> (Asm, Marks) {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(0, OUTER);
+    a.mov_imm64(11, DATA);
+    let outer = a.here();
+    let outer_l = a.label();
+    a.bind(outer_l);
+    a.mov_imm64(1, INNER);
+    let inner = a.here();
+    let inner_l = a.label();
+    a.bind(inner_l);
+    a.add_imm(2, 2, 1);
+    a.eor_reg(3, 3, 2);
+    a.orr_reg(4, 4, 3);
+    a.add_reg(5, 5, 4);
+    a.str(5, 11, 0);
+    a.add_imm(6, 6, 3);
+    a.eor_reg(7, 7, 6);
+    let mid = a.here();
+    a.add_reg(9, 9, 7);
+    a.orr_reg(10, 10, 9);
+    a.ldr(8, 11, 0);
+    a.add_reg(12, 12, 8);
+    a.eor_reg(13, 13, 12);
+    a.subs_imm(1, 1, 1);
+    a.b_ne(inner_l);
+    let after_inner = a.here();
+    a.add_reg(14, 14, 2);
+    a.svc(0);
+    let after_svc = a.here();
+    a.add_reg(15, 15, 14);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(outer_l);
+    a.svc(0);
+    (a, Marks { outer, inner, mid, after_inner, after_svc })
+}
+
+fn machine(engine: (&str, bool, bool, bool)) -> Machine {
+    let (_, fetch_cache, fastpath, jit) = engine;
+    let mut m = Machine::new(Platform::CortexA55);
+    m.set_fetch_cache(fetch_cache);
+    m.set_fastpath(fastpath);
+    m.set_jit(jit);
+    m.set_metrics(true);
+    let root = alloc_table(&mut m.mem);
+    let code_pa = m.mem.alloc_frame();
+    m.mem.write_bytes(code_pa, &program().0.bytes());
+    let code = S1Perms { read: true, write: false, user_exec: true, priv_exec: false, el0: true, global: false };
+    s1_map_page(&mut m.mem, root, CODE, code_pa, code);
+    let data_pa = m.mem.alloc_frame();
+    let data = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
+    s1_map_page(&mut m.mem, root, DATA, data_pa, data);
+    m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, root));
+    m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
+    m.set_sysreg(SysReg::HCR_EL2, hcr::TGE | hcr::E2H);
+    m.cpu.pstate = PState::user();
+    m.cpu.pc = CODE;
+    m
+}
+
+/// Run until a breakpoint or the final `svc`, resuming after every
+/// in-loop `svc` the way a modelled EL2 handler would.
+fn drive(m: &mut Machine) -> Exit {
+    loop {
+        match m.run(LIMIT) {
+            Exit::El2(ExceptionClass::Svc) if m.cpu.x[0] != 0 => {
+                let elr = m.sysreg(SysReg::ELR_EL2);
+                m.enter(PState::user(), elr);
+            }
+            exit => return exit,
+        }
+    }
+}
+
+/// Everything an unbroken run must reproduce.
+type Final = (u64, u64, u64, [u64; 31], String);
+
+fn finish(m: &mut Machine) -> Final {
+    assert_eq!(drive(m), Exit::El2(ExceptionClass::Svc), "program must reach its final svc");
+    assert_eq!(m.cpu.x[0], 0);
+    (m.cpu.pc, m.cpu.insns, m.cpu.cycles, m.cpu.x, m.journal.dump_json())
+}
+
+/// Arm each `(pc, hits)` in turn and run to it; returns every stop's
+/// `(pc, insns, cycles)` and the state at the final `svc`.
+fn run_case(engine: (&str, bool, bool, bool), stops: &[(u64, u64)]) -> (Vec<(u64, u64, u64)>, Final) {
+    let mut m = machine(engine);
+    let mut seen = Vec::new();
+    for &(pc, hits) in stops {
+        m.break_before(pc, hits);
+        assert_eq!(m.breakpoint(), Some((pc, hits)));
+        assert_eq!(drive(&mut m), Exit::Limit, "{}: breakpoint {pc:#x}x{hits} never fired", engine.0);
+        assert_eq!(m.breakpoint(), None, "{}: a fired breakpoint must be consumed", engine.0);
+        assert_eq!(m.cpu.pc, pc, "{}: stopped at the wrong instruction", engine.0);
+        seen.push((m.cpu.pc, m.cpu.insns, m.cpu.cycles));
+    }
+    (seen, finish(&mut m))
+}
+
+fn cases(k: Marks) -> Vec<(&'static str, Vec<(u64, u64)>)> {
+    vec![
+        ("first instruction", vec![(CODE, 1)]),
+        ("block start, fall-through entry", vec![(k.outer, 1)]),
+        ("block start, branch target", vec![(k.outer, 4)]),
+        ("inner loop top", vec![(k.inner, 1)]),
+        ("inner loop top, later pass", vec![(k.inner, 7)]),
+        ("mid-superblock", vec![(k.mid, 1)]),
+        ("mid-superblock, later pass", vec![(k.mid, 6)]),
+        ("inside a compiled JIT block", vec![(k.inner, WARM), (k.mid, 1)]),
+        ("inside a compiled JIT block, later pass", vec![(k.inner, WARM), (k.mid, 5)]),
+        ("fall-through after b.ne", vec![(k.after_inner, 1)]),
+        ("fall-through after b.ne, later pass", vec![(k.after_inner, 3)]),
+        ("return point of an svc", vec![(k.after_svc, 2)]),
+        ("chained breakpoints", vec![(k.mid, 2), (k.after_inner, 1), (k.inner, 2), (k.after_svc, 1)]),
+    ]
+}
+
+#[test]
+fn every_engine_stops_at_the_same_boundary_and_resumes_exactly() {
+    let marks = program().1;
+    let unbroken: Vec<Final> = ENGINES.iter().map(|&e| finish(&mut machine(e))).collect();
+    for f in &unbroken[1..] {
+        assert_eq!(f, &unbroken[0], "engines disagree without any breakpoint");
+    }
+    for (name, stops) in cases(marks) {
+        let reference = run_case(ENGINES[0], &stops);
+        for (i, &engine) in ENGINES.iter().enumerate() {
+            let (seen, fin) = run_case(engine, &stops);
+            assert_eq!(seen, reference.0, "{name}: {} stopped elsewhere than the reference step", engine.0);
+            assert_eq!(fin, unbroken[i], "{name}: {} resumed to a different final state", engine.0);
+        }
+    }
+}
+
+#[test]
+fn stops_count_retired_instructions_exactly() {
+    // The first instruction stops before anything retires; the inner
+    // loop's second arrival follows exactly one inner iteration.
+    let marks = program().1;
+    let (seen, _) = run_case(ENGINES[0], &[(CODE, 1)]);
+    assert_eq!((seen[0].1, seen[0].2), (0, 0));
+    let (first, _) = run_case(ENGINES[0], &[(marks.inner, 1)]);
+    let (second, _) = run_case(ENGINES[0], &[(marks.inner, 2)]);
+    assert_eq!(second[0].1 - first[0].1, (marks.after_inner - marks.inner) / 4);
+}
+
+#[test]
+fn jit_case_really_enters_compiled_blocks() {
+    // Guard the "inside a compiled JIT block" case against silently
+    // testing the interpreter only: by the first stop the JIT has run
+    // compiled blocks, and the block around `mid` was one of them.
+    let marks = program().1;
+    let mut m = machine(ENGINES[3]);
+    m.break_before(marks.inner, WARM);
+    assert_eq!(drive(&mut m), Exit::Limit);
+    let before = m.tlb.fast_stats().jit_blocks;
+    assert!(before > 0, "the JIT never entered a compiled block");
+    m.break_before(marks.mid, 1);
+    assert_eq!(drive(&mut m), Exit::Limit);
+    assert_eq!(m.cpu.pc, marks.mid);
+    // The breakpoint fell inside the compiled block at `inner`, so the
+    // engine ran the clamped interpreter superblock instead.
+    assert_eq!(m.tlb.fast_stats().jit_blocks, before);
+}
+
+#[test]
+fn run_epoch_ignores_and_keeps_the_breakpoint() {
+    let marks = program().1;
+    for engine in ENGINES {
+        let mut m = machine(engine);
+        m.break_before(marks.inner, 1);
+        let out = m.run_epoch(&[LIMIT]);
+        assert_eq!(out[0].0, Exit::El2(ExceptionClass::Svc), "{}: epoch stopped early", engine.0);
+        assert_eq!(m.breakpoint(), Some((marks.inner, 1)), "{}: epoch consumed the breakpoint", engine.0);
+    }
+}

@@ -11,8 +11,18 @@
 //! (PAN toggles, call gates, watchpoint ioctls, lwC switches). Buffers
 //! are mapped with 2 MiB huge pages as in the paper. The
 //! search count is scaled down from the paper's 5,000,000 (wall-clock
-//! statistics on real hardware) because the simulator is deterministic;
-//! the two-point slope cancels setup costs.
+//! statistics on real hardware) because the simulator is deterministic.
+//!
+//! Each leg is one program: a warm-up pass over all `N_MAX` searches,
+//! then a measured pass of `N_MAX` more. The per-search cost is the
+//! slope over the measured pass's second half, read at two host-side
+//! breakpoints ([`lz_machine::Machine::break_before`]): the cycle counter
+//! just before the measured loop's top runs for the `N_MAX/2 + 1`-th
+//! time, and just before the exit sequence. The breakpoints have zero
+//! modelled cost, and taken and not-taken branches cost the same, so
+//! the slope equals the two-program difference `run(N) − run(N/2)` bit
+//! for bit while warming up once; setup and exit costs cancel either
+//! way.
 
 use crate::deploy::{Deployment, Mechanism};
 use lightzone::api::{LzAsm, LzProgramBuilder, RW, SAN_PAN, SAN_TTBR, USER};
@@ -22,7 +32,8 @@ use lz_arch::asm::Asm;
 use lz_arch::Platform;
 use lz_baselines::Baselines;
 use lz_kernel::syscall::custom;
-use lz_kernel::{Program, Sysno, VmProt};
+use lz_kernel::{Event, Program, Sysno, VmProt};
+use lz_machine::Machine;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -95,15 +106,26 @@ fn emit_search(a: &mut Asm, platform: Platform) {
     a.bind(found);
 }
 
+/// The pass-boundary addresses the slope reads cycles at.
+#[derive(Debug, Clone, Copy)]
+struct Marks {
+    /// Top of the measured pass's loop.
+    loop_top: u64,
+    /// First instruction of the exit sequence.
+    exit: u64,
+}
+
 /// Emit the warm-up + measurement loops: the body sees the buffer index
 /// in x18 and the scan address in x19. A full pass over all `N_MAX`
 /// sequence entries runs first (the paper's warm-up phase — it demand-
 /// faults every page the measured loop will touch, in every domain),
 /// then the measured pass runs `n` entries from the same sequence.
-fn emit_loop(a: &mut Asm, n: usize, mut body: impl FnMut(&mut Asm, usize)) {
+fn emit_loop(a: &mut Asm, n: usize, mut body: impl FnMut(&mut Asm, usize)) -> Marks {
+    let mut loop_top = 0;
     for (pass, pass_n) in [N_MAX, n].into_iter().enumerate() {
         a.mov_imm64(21, SEQ_BASE);
         a.mov_imm64(23, pass_n as u64);
+        loop_top = a.here();
         let top = a.label();
         a.bind(top);
         a.ldr(18, 21, 0);
@@ -113,9 +135,54 @@ fn emit_loop(a: &mut Asm, n: usize, mut body: impl FnMut(&mut Asm, usize)) {
         a.subs_imm(23, 23, 1);
         a.b_ne(top);
     }
+    let exit = a.here();
     a.mov_imm64(0, 0);
     a.mov_imm64(8, Sysno::Exit.nr());
     a.svc(0);
+    Marks { loop_top, exit }
+}
+
+/// One leg's simulator, with its program spawned and entered.
+enum Sim {
+    Baselines(Baselines),
+    LightZone(LightZone),
+}
+
+impl Sim {
+    fn run(&mut self) -> Event {
+        match self {
+            Sim::Baselines(bl) => bl.run(RUN_LIMIT),
+            Sim::LightZone(lz) => lz.run(RUN_LIMIT),
+        }
+    }
+
+    fn machine(&mut self) -> &mut Machine {
+        match self {
+            Sim::Baselines(bl) => &mut bl.kernel.machine,
+            Sim::LightZone(lz) => &mut lz.kernel.machine,
+        }
+    }
+
+    /// Run to just before the `hits`-th execution of `pc`; the cycle
+    /// counter there.
+    fn cycles_at(&mut self, pc: u64, hits: u64) -> u64 {
+        self.machine().break_before(pc, hits);
+        assert_eq!(self.run(), Event::Limit, "breakpoint at {pc:#x} never fired");
+        let m = self.machine();
+        assert_eq!(m.cpu.pc, pc, "stopped short of the breakpoint");
+        m.cpu.cycles
+    }
+}
+
+/// Build one leg whose measured pass runs `n` searches.
+fn leg(platform: Platform, deploy: Deployment, mechanism: Mechanism, buffers: usize, n: usize) -> (Sim, Marks) {
+    match mechanism {
+        Mechanism::Vanilla => plain(platform, deploy, buffers, n, false),
+        Mechanism::Watchpoint => plain(platform, deploy, buffers, n, true),
+        Mechanism::Lwc => lwc(platform, deploy, buffers, n),
+        Mechanism::LzPan => lz(platform, deploy, buffers, n, true),
+        Mechanism::LzTtbr => lz(platform, deploy, buffers, n, false),
+    }
 }
 
 /// Average cycles per search operation for one Figure 5 cell.
@@ -129,36 +196,49 @@ pub fn nvm_cycles_per_op(platform: Platform, deploy: Deployment, mechanism: Mech
     if mechanism == Mechanism::Watchpoint {
         assert!(buffers <= 16, "watchpoint prototype supports at most 16 domains");
     }
-    let run = |n: usize| match mechanism {
-        Mechanism::Vanilla => run_plain(platform, deploy, buffers, n, false),
-        Mechanism::Watchpoint => run_plain(platform, deploy, buffers, n, true),
-        Mechanism::Lwc => run_lwc(platform, deploy, buffers, n),
-        Mechanism::LzPan => run_lz(platform, deploy, buffers, n, true),
-        Mechanism::LzTtbr => run_lz(platform, deploy, buffers, n, false),
-    };
-    (run(N_MAX) as f64 - run(N_MAX / 2) as f64) / (N_MAX / 2) as f64
+    let half = N_MAX / 2;
+    let (mut sim, marks) = leg(platform, deploy, mechanism, buffers, N_MAX);
+    let c_half = sim.cycles_at(marks.loop_top, half as u64 + 1);
+    let c_exit = sim.cycles_at(marks.exit, 1);
+    assert_eq!(sim.run(), Event::Exited(0));
+    (c_exit - c_half) as f64 / half as f64
+}
+
+/// Overheads of `mechanisms` over vanilla for one (platform, deployment,
+/// buffers) row; vanilla runs once for the whole row.
+pub fn nvm_overheads(
+    platform: Platform,
+    deploy: Deployment,
+    buffers: usize,
+    mechanisms: &[Mechanism],
+) -> Vec<NvmResult> {
+    let base = nvm_cycles_per_op(platform, deploy, Mechanism::Vanilla, buffers);
+    mechanisms
+        .iter()
+        .map(|&m| {
+            let prot = nvm_cycles_per_op(platform, deploy, m, buffers);
+            NvmResult { cycles_per_op: prot, overhead: (prot - base) / base }
+        })
+        .collect()
 }
 
 /// Overhead of `mechanism` over vanilla for one cell.
 pub fn nvm_overhead(platform: Platform, deploy: Deployment, mechanism: Mechanism, buffers: usize) -> NvmResult {
-    let base = nvm_cycles_per_op(platform, deploy, Mechanism::Vanilla, buffers);
-    let prot = nvm_cycles_per_op(platform, deploy, mechanism, buffers);
-    NvmResult { cycles_per_op: prot, overhead: (prot - base) / base }
+    nvm_overheads(platform, deploy, buffers, &[mechanism])[0]
 }
 
-fn run_baseline_prog(platform: Platform, deploy: Deployment, prog: Program) -> u64 {
+fn baseline_sim(platform: Platform, deploy: Deployment, prog: Program) -> Sim {
     let mut bl = match deploy {
         Deployment::Host => Baselines::new_host(platform),
         Deployment::Guest => Baselines::new_guest(platform),
     };
     let pid = bl.spawn(&prog);
     bl.enter_process(pid);
-    assert_eq!(bl.run(RUN_LIMIT), lz_kernel::Event::Exited(0));
-    bl.kernel.machine.cpu.cycles
+    Sim::Baselines(bl)
 }
 
 /// Vanilla and Watchpoint variants (EL0 process under the base kernel).
-fn run_plain(platform: Platform, deploy: Deployment, buffers: usize, n: usize, protect: bool) -> u64 {
+fn plain(platform: Platform, deploy: Deployment, buffers: usize, n: usize, protect: bool) -> (Sim, Marks) {
     let mut a = Asm::new(CODE);
     if protect {
         a.mov_imm64(8, custom::WP_ENTER);
@@ -170,7 +250,7 @@ fn run_plain(platform: Platform, deploy: Deployment, buffers: usize, n: usize, p
             a.svc(0);
         }
     }
-    emit_loop(&mut a, n, |a, _| {
+    let marks = emit_loop(&mut a, n, |a, _| {
         if protect {
             a.mov_reg(0, 18);
             a.mov_imm64(8, custom::WP_SWITCH);
@@ -186,17 +266,17 @@ fn run_plain(platform: Platform, deploy: Deployment, buffers: usize, n: usize, p
     let prog = Program::from_code(CODE, a.bytes())
         .with_segment(SEQ_BASE, search_sequence(buffers), VmProt::R)
         .with_huge_segment(BUF_BASE, buffers as u64 * BUF_BYTES, VmProt::RW);
-    run_baseline_prog(platform, deploy, prog)
+    (baseline_sim(platform, deploy, prog), marks)
 }
 
 /// lwC variant: one context per buffer, kernel switch around each search.
-fn run_lwc(platform: Platform, deploy: Deployment, buffers: usize, n: usize) -> u64 {
+fn lwc(platform: Platform, deploy: Deployment, buffers: usize, n: usize) -> (Sim, Marks) {
     let mut a = Asm::new(CODE);
     for _ in 0..=buffers {
         a.mov_imm64(8, custom::LWC_CREATE);
         a.svc(0);
     }
-    emit_loop(&mut a, n, |a, _| {
+    let marks = emit_loop(&mut a, n, |a, _| {
         a.add_imm(0, 18, 1); // context of buffer d is d + 1
         a.mov_imm64(8, custom::LWC_SWITCH);
         a.svc(0);
@@ -208,13 +288,13 @@ fn run_lwc(platform: Platform, deploy: Deployment, buffers: usize, n: usize) -> 
     let prog = Program::from_code(CODE, a.bytes())
         .with_segment(SEQ_BASE, search_sequence(buffers), VmProt::R)
         .with_huge_segment(BUF_BASE, buffers as u64 * BUF_BYTES, VmProt::RW);
-    run_baseline_prog(platform, deploy, prog)
+    (baseline_sim(platform, deploy, prog), marks)
 }
 
 /// LightZone variants: PAN (all buffers in the single protected domain)
 /// or TTBR (one table per buffer; per-buffer gates in, gate `buffers`
 /// back out to the default table — Listing 1 style).
-fn run_lz(platform: Platform, deploy: Deployment, buffers: usize, n: usize, pan: bool) -> u64 {
+fn lz(platform: Platform, deploy: Deployment, buffers: usize, n: usize, pan: bool) -> (Sim, Marks) {
     let mut b = LzProgramBuilder::new(CODE);
     b.with_segment(SEQ_BASE, search_sequence(buffers), VmProt::R);
     b.with_huge_segment(BUF_BASE, buffers as u64 * BUF_BYTES, VmProt::RW);
@@ -244,7 +324,7 @@ fn run_lz(platform: Platform, deploy: Deployment, buffers: usize, n: usize, pan:
     let stride_shift = stride.trailing_zeros() as u8;
     let mut enter_entries = [0u64; 2];
     let mut exit_entries = [0u64; 2];
-    {
+    let marks = {
         let a = &mut b.asm;
         emit_loop(a, n, |a, pass| {
             if pan {
@@ -264,8 +344,8 @@ fn run_lz(platform: Platform, deploy: Deployment, buffers: usize, n: usize, pan:
                 a.blr(17);
                 exit_entries[pass] = a.here();
             }
-        });
-    }
+        })
+    };
     if !pan {
         for pass in 0..2u64 {
             for g in 0..buffers as u64 {
@@ -281,13 +361,36 @@ fn run_lz(platform: Platform, deploy: Deployment, buffers: usize, n: usize, pan:
     };
     let pid = lz.spawn(&prog);
     lz.enter_process(pid);
-    assert_eq!(lz.run(RUN_LIMIT), lz_kernel::Event::Exited(0));
-    lz.kernel.machine.cpu.cycles
+    (Sim::LightZone(lz), marks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference oracle: the two-program slope `run(N) − run(N/2)`, each
+    /// program warmed up and run to its exit separately.
+    fn two_program_cycles_per_op(p: Platform, d: Deployment, m: Mechanism, buffers: usize) -> f64 {
+        let run = |n: usize| {
+            let (mut sim, _) = leg(p, d, m, buffers, n);
+            assert_eq!(sim.run(), Event::Exited(0));
+            sim.machine().cpu.cycles
+        };
+        (run(N_MAX) as f64 - run(N_MAX / 2) as f64) / (N_MAX / 2) as f64
+    }
+
+    #[test]
+    fn one_run_slope_matches_two_program_oracle_bit_for_bit() {
+        for p in Platform::ALL {
+            for d in Deployment::ALL {
+                for m in Mechanism::ALL {
+                    let one = nvm_cycles_per_op(p, d, m, 2);
+                    let two = two_program_cycles_per_op(p, d, m, 2);
+                    assert_eq!(one.to_bits(), two.to_bits(), "{p:?} {d:?} {m:?}: one run {one} vs two programs {two}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn vanilla_search_in_paper_cycle_band() {
