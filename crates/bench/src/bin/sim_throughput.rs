@@ -1,6 +1,6 @@
 //! `sim_throughput` — host-side simulator speed on a straight-line ALU
 //! hot loop and a mixed load/store loop, with the acceleration layer
-//! (decoded-block fetch cache + data-side fast path) on vs off.
+//! (`Machine::set_accel`) on vs off.
 //!
 //! Each figure is the median of `REPS` timed repetitions. Prints one
 //! line of JSON to stdout (CI captures it as

@@ -1,10 +1,11 @@
 //! `sim_throughput`: host-side simulation speed (instructions per
-//! second) of the interpreter, with the acceleration layer (decoded-block
-//! fetch cache + data-side fast path) on and off.
+//! second) of the interpreter, with the acceleration layer
+//! (`Machine::set_accel`) on and off.
 //!
 //! Two workloads are measured:
 //!
-//! * a straight-line **ALU hot loop** (superblock execution's best case);
+//! * a straight-line **ALU hot loop** (compiled-block execution's best
+//!   case);
 //! * a **mixed ALU + load/store loop** that keeps the micro-DTLB and the
 //!   data-access path honest.
 //!
@@ -153,7 +154,7 @@ impl ThroughputResult {
             self.mem.speedup(),
             self.mem.cycles_on,
             self.mem.cycles_off,
-            lz_machine::default_jit(),
+            lz_machine::default_accel(),
             self.cycles_match(),
         )
     }
@@ -169,8 +170,7 @@ enum Workload {
 }
 
 /// A machine whose EL0 program is a counted loop sized to retire roughly
-/// `insns_target` instructions. `accel` flips the whole acceleration
-/// layer (fetch cache + data-side fast path) together.
+/// `insns_target` instructions. `accel` flips the acceleration layer.
 fn hot_loop_machine(insns_target: u64, accel: bool, workload: Workload) -> (Machine, u64) {
     let iters = (insns_target / (UNROLL + 2)).max(1);
     let mut a = Asm::new(CODE);
@@ -204,12 +204,7 @@ fn hot_loop_machine(insns_target: u64, accel: bool, workload: Workload) -> (Mach
     a.svc(0);
 
     let mut m = Machine::new(Platform::CortexA55);
-    m.set_fetch_cache(accel);
-    m.set_fastpath(accel);
-    // The JIT polarity follows the process default (`LZ_JIT`), recorded
-    // in the report's `jit` field so the bench trajectory distinguishes
-    // the engines; the off leg disables the whole layer regardless.
-    m.set_jit(accel && lz_machine::default_jit());
+    m.set_accel(accel);
     let root = alloc_table(&mut m.mem);
     let code_pa = m.mem.alloc_frame();
     m.mem.write_bytes(code_pa, &a.bytes());

@@ -4,14 +4,15 @@
 //!
 //! * back-to-back runs of the same table are byte-identical (the whole
 //!   pipeline is deterministic — seeded PRNGs, no wall-clock input);
-//! * the decoded-block fetch cache changes no modelled cycle count, so
-//!   every table is byte-identical with the cache on and off.
+//! * the acceleration layer changes no modelled cycle count, so every
+//!   table is byte-identical on the accelerated and the reference
+//!   engine.
 
 use lz_bench::report;
-use lz_machine::cpu::{default_fetch_cache, set_default_fetch_cache};
+use lz_machine::cpu::{default_accel, set_default_accel};
 use std::sync::Mutex;
 
-/// Serialises tests that flip the process-global fetch-cache default.
+/// Serialises tests that flip (or depend on) process-global defaults.
 static CACHE_FLAG: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -32,16 +33,16 @@ fn table4_back_to_back_runs_are_byte_identical() {
 #[test]
 fn tables_are_byte_identical_cache_on_and_off() {
     let _guard = CACHE_FLAG.lock().unwrap();
-    let saved = default_fetch_cache();
-    set_default_fetch_cache(true);
+    let saved = default_accel();
+    set_default_accel(true);
     let t4_on = report::table4_report();
     let t5_on = report::table5_report(false);
-    set_default_fetch_cache(false);
+    set_default_accel(false);
     let t4_off = report::table4_report();
     let t5_off = report::table5_report(false);
-    set_default_fetch_cache(saved);
-    assert_eq!(t4_on, t4_off, "table 4 cycles must not depend on the fetch cache");
-    assert_eq!(t5_on, t5_off, "table 5 cycles must not depend on the fetch cache");
+    set_default_accel(saved);
+    assert_eq!(t4_on, t4_off, "table 4 cycles must not depend on the acceleration layer");
+    assert_eq!(t5_on, t5_off, "table 5 cycles must not depend on the acceleration layer");
 }
 
 #[test]

@@ -634,7 +634,11 @@ pub fn restore_donor_prog() -> LzProgram {
 ///    `skip_rollover_shootdown` its first *fetch* resumes into the dead
 ///    victim's gadget page and leaks [`ROLLOVER_SECRET`] through the
 ///    stale data entry.
-pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize) -> RestoreOutcome {
+///
+/// Returns `None` when a set-up step fails: the victim VE is gone before
+/// its reap, the donor cannot be snapshotted at its request boundary, or
+/// the snapshot does not restore.
+pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize) -> Option<RestoreOutcome> {
     let mut lz = LightZone::with_ablation(platform, false, ablation);
     lz.kernel.vmids = VmidAllocator::with_space(ROLLOVER_VMID_SPACE);
     if cores > 1 {
@@ -649,7 +653,7 @@ pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize
     }
     lz.schedule_to(victim);
     let victim_exit = run_exit(&mut lz);
-    let vmid_v = lz.module.proc(victim).expect("victim VE is live").vmid;
+    let vmid_v = lz.module.proc(victim)?.vmid;
     if cores > 1 {
         lz.kernel.machine.switch_core(0);
     }
@@ -666,7 +670,7 @@ pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize
     run_until(&mut lz, 2, |lz| lz.kernel.machine.cpu.x[21] == 1);
     lz.kernel.save_current();
     lz.kernel.clear_current();
-    let snap = lz.snapshot_ve(donor).expect("donor VE snapshots at its request boundary");
+    let snap = lz.snapshot_ve(donor)?;
     lz.kernel.set_current(donor);
     lz.kernel.kill_current(lightzone::SECURITY_KILL);
     assert!(lz.reap(donor), "donor VE reaps end to end");
@@ -679,12 +683,8 @@ pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize
     }
 
     // Phase 5: the warm restart is granted the victim's VMID, recycled.
-    let restored = lz.restore_ve(&prog, &snap).expect("snapshot restores");
-    assert_eq!(
-        lz.module.proc(restored).expect("restored VE is live").vmid,
-        vmid_v,
-        "restored VE received the victim's recycled VMID"
-    );
+    let restored = lz.restore_ve(&prog, &snap)?;
+    assert_eq!(lz.module.proc(restored)?.vmid, vmid_v, "restored VE received the victim's recycled VMID");
     if cores > 1 {
         lz.kernel.machine.switch_core(victim_core);
     }
@@ -708,13 +708,13 @@ pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize
     }
     assert_ne!(probe_exit, i64::MIN, "restored VE neither died nor finished its probe");
 
-    RestoreOutcome {
+    Some(RestoreOutcome {
         victim_exit,
         probe_exit,
         vmid_recycles: lz.kernel.vmids.recycles(),
         rollover_shootdowns: lz.kernel.stats.rollover_shootdowns + lz.module.rollover_shootdowns,
         restores: lz.fleet_section().get("ve_restores").unwrap_or(0),
-    }
+    })
 }
 
 #[cfg(test)]

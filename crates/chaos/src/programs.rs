@@ -44,10 +44,11 @@ pub fn user_rw() -> S1Perms {
 }
 
 /// Build one machine: 4 code pages at `CODE` (the last is the patch
-/// area), 2 data pages at `DATA`, stage-1 only, TGE host semantics.
-pub fn build_machine(code: &[u8], patch: &[u8], cache_on: bool) -> Machine {
+/// area), 2 data pages at `DATA`, stage-1 only, TGE host semantics,
+/// on the accelerated (`accel`) or the reference engine.
+pub fn build_machine(code: &[u8], patch: &[u8], accel: bool) -> Machine {
     let mut m = Machine::new(Platform::CortexA55);
-    m.set_fetch_cache(cache_on);
+    m.set_accel(accel);
     let root = alloc_table(&mut m.mem);
     for page in 0..4u64 {
         let pa = m.mem.alloc_frame();
@@ -339,7 +340,7 @@ fn bare_digest(m: &Machine, exit: Exit, resumes: u32, extra: &str) -> String {
 
 fn run_randomized(seed: u64, plan: Option<&FaultPlan>) -> ScenarioRun {
     let (code, patch) = random_program(seed, 300, 64);
-    let mut m = build_machine(&code, &patch, true);
+    let mut m = build_machine(&code, &patch, lz_machine::default_accel());
     m.set_metrics(true);
     if let Some(p) = plan {
         m.chaos.install(p.clone());
@@ -353,7 +354,7 @@ fn run_randomized(seed: u64, plan: Option<&FaultPlan>) -> ScenarioRun {
 
 fn run_self_modifying(seed: u64, plan: Option<&FaultPlan>) -> ScenarioRun {
     let (code, patch) = random_program(seed ^ 0x5e1f_0d1f_5e1f_0d1f, 400, 64);
-    let mut m = build_machine(&code, &patch, true);
+    let mut m = build_machine(&code, &patch, lz_machine::default_accel());
     m.set_metrics(true);
     // EL1 stub: interpreted TLB maintenance after the self-modifying
     // phase, ending in an `hvc` marker (SVC/BRK from EL1 stay at EL1;

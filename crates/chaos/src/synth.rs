@@ -4,8 +4,8 @@
 //! candidate exploit programs across six families — direct access,
 //! gate abuse, sanitizer/W^X, cross-core stale alias, fake-phys layout
 //! probes, and kernel-context abuse — then runs every candidate under
-//! every [`Defense`] polarity on 1- and 4-core machines with the data
-//! fast path on and off.
+//! every [`Defense`] polarity on 1- and 4-core machines, on the
+//! accelerated and the reference engine.
 //!
 //! The oracle is *positive evidence of an isolation break*, never "the
 //! program exited cleanly": a direct-access or gate-abuse attack
@@ -194,10 +194,9 @@ pub struct SynthConfig {
     pub seed: u64,
     pub platform: Platform,
     pub cores: Vec<usize>,
-    pub fastpaths: Vec<bool>,
-    /// Template-JIT polarities to sweep (compiled vs interpreted
-    /// superblocks must be attack-indistinguishable).
-    pub jits: Vec<bool>,
+    /// Engines to sweep: accelerated (`true`) and reference (`false`)
+    /// execution must be attack-indistinguishable.
+    pub accels: Vec<bool>,
     pub pan_domains: u64,
     pub ttbr_domains: u64,
     /// ddmin-shrink escaping attacks (the expensive part).
@@ -206,14 +205,13 @@ pub struct SynthConfig {
 
 impl SynthConfig {
     /// The full release matrix (`repro attacks`): 1- and 4-core,
-    /// fastpath on and off, JIT on and off.
+    /// accelerated and reference engine.
     pub fn full(seed: u64) -> Self {
         SynthConfig {
             seed,
             platform: Platform::CortexA55,
             cores: vec![1, 4],
-            fastpaths: vec![true, false],
-            jits: vec![true, false],
+            accels: vec![true, false],
             pan_domains: 8,
             ttbr_domains: 6,
             shrink: true,
@@ -221,14 +219,9 @@ impl SynthConfig {
     }
 
     /// Reduced matrix for the in-tree debug test: both core counts
-    /// (the stale-alias family needs a remote core), default fast path
-    /// and JIT polarity.
+    /// (the stale-alias family needs a remote core), default engine.
     pub fn reduced(seed: u64) -> Self {
-        SynthConfig {
-            fastpaths: vec![lz_machine::default_fastpath()],
-            jits: vec![lz_machine::default_jit()],
-            ..SynthConfig::full(seed)
-        }
+        SynthConfig { accels: vec![lz_machine::default_accel()], ..SynthConfig::full(seed) }
     }
 }
 
@@ -693,11 +686,10 @@ pub fn run_candidate(
     subset: &BTreeSet<usize>,
     ablation: AblationConfig,
     cores: usize,
-    fastpath: bool,
-    jit: bool,
+    accel: bool,
     cfg: &SynthConfig,
 ) -> bool {
-    let ablation = AblationConfig { fastpath, jit, ..ablation };
+    let ablation = AblationConfig { accel, ..ablation };
     let prog = materialize(c, subset, cfg);
     match c.family {
         Family::StaleAlias => run_stale_oracle(&prog, c, ablation, cores, cfg.platform),
@@ -814,7 +806,7 @@ impl AttackCorpusReport {
 
 /// Run the full synthesis sweep: every candidate under the all-on
 /// baseline and every single-defense-off ablation, across the
-/// `cores × fastpath` matrix, ddmin-shrinking every escape.
+/// `cores × accel` matrix, ddmin-shrinking every escape.
 pub fn run_synthesis(cfg: &SynthConfig) -> AttackCorpusReport {
     let candidates = generate(cfg);
     let mut runs = 0u64;
@@ -823,23 +815,21 @@ pub fn run_synthesis(cfg: &SynthConfig) -> AttackCorpusReport {
         let mut col = AblationOutcome { defense, ..AblationOutcome::default() };
         let mut distinct: BTreeSet<String> = BTreeSet::new();
         for c in &candidates {
-            let mut escaping_cell: Option<(usize, bool, bool)> = None;
+            let mut escaping_cell: Option<(usize, bool)> = None;
             for &cores in &cfg.cores {
-                for &fp in &cfg.fastpaths {
-                    for &jit in &cfg.jits {
-                        col.runs += 1;
-                        if run_candidate(c, &c.all_steps(), ablation, cores, fp, jit, cfg) {
-                            col.escapes += 1;
-                            distinct.insert(c.id());
-                            escaping_cell.get_or_insert((cores, fp, jit));
-                        }
+                for &accel in &cfg.accels {
+                    col.runs += 1;
+                    if run_candidate(c, &c.all_steps(), ablation, cores, accel, cfg) {
+                        col.escapes += 1;
+                        distinct.insert(c.id());
+                        escaping_cell.get_or_insert((cores, accel));
                     }
                 }
             }
             if shrink {
-                if let Some((cores, fp, jit)) = escaping_cell {
+                if let Some((cores, accel)) = escaping_cell {
                     let shrunk =
-                        ddmin_set(&c.all_steps(), |s| run_candidate(c, s, ablation, cores, fp, jit, cfg).then_some(()));
+                        ddmin_set(&c.all_steps(), |s| run_candidate(c, s, ablation, cores, accel, cfg).then_some(()));
                     if let Some((minimal, ())) = shrunk {
                         col.shrunk.push(ShrunkAttack {
                             attack: c.id(),
@@ -895,15 +885,7 @@ mod tests {
         let cfg = SynthConfig::reduced(1);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::GateAbuse).expect("gate candidate");
         assert!(
-            !run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::default(),
-                1,
-                lz_machine::default_fastpath(),
-                lz_machine::default_jit(),
-                &cfg
-            ),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 1, lz_machine::default_accel(), &cfg),
             "gate abuse must be defeated with the check phase on"
         );
     }
@@ -918,8 +900,7 @@ mod tests {
                 &c.all_steps(),
                 AblationConfig::with_defense_off(Defense::GateCheckPhase),
                 1,
-                lz_machine::default_fastpath(),
-                lz_machine::default_jit(),
+                lz_machine::default_accel(),
                 &cfg
             ),
             "forged gate call must land in the victim domain without the check phase"
@@ -930,22 +911,13 @@ mod tests {
     fn phys_probe_polarity() {
         let cfg = SynthConfig::reduced(2);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::PhysProbe).expect("probe candidate");
-        let fp = lz_machine::default_fastpath();
-        let jit = lz_machine::default_jit();
+        let accel = lz_machine::default_accel();
         assert!(
-            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 1, fp, jit, &cfg),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 1, accel, &cfg),
             "randomized fake roots must not leak the real layout"
         );
         assert!(
-            run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::with_defense_off(Defense::RandomizePhys),
-                1,
-                fp,
-                jit,
-                &cfg
-            ),
+            run_candidate(&c, &c.all_steps(), AblationConfig::with_defense_off(Defense::RandomizePhys), 1, accel, &cfg),
             "identity fake-phys must leak a real table root"
         );
     }
@@ -954,10 +926,9 @@ mod tests {
     fn stale_alias_polarity() {
         let cfg = SynthConfig::reduced(3);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::StaleAlias).expect("stale candidate");
-        let fp = lz_machine::default_fastpath();
-        let jit = lz_machine::default_jit();
+        let accel = lz_machine::default_accel();
         assert!(
-            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 4, fp, jit, &cfg),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 4, accel, &cfg),
             "IPI shootdown must kill the stale alias"
         );
         assert!(
@@ -966,8 +937,7 @@ mod tests {
                 &c.all_steps(),
                 AblationConfig::with_defense_off(Defense::RemoteShootdown),
                 4,
-                fp,
-                jit,
+                accel,
                 &cfg
             ),
             "skipping the remote shootdown must leave the stale alias live"
@@ -978,8 +948,7 @@ mod tests {
                 &c.all_steps(),
                 AblationConfig::with_defense_off(Defense::RemoteShootdown),
                 1,
-                fp,
-                jit,
+                accel,
                 &cfg
             ),
             "on one core the local invalidate alone must defeat the attack"

@@ -318,6 +318,9 @@ fn counter_sample(lz: &LightZone) -> [u64; 5] {
 pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
     assert!(cfg.cores >= 1 && cfg.tenants >= 1 && cfg.domains_per_tenant >= 1);
     let mut lz = LightZone::new_host(cfg.platform);
+    // The priority-lane invariant below reads the journal, so record it
+    // whatever the `LZ_METRICS` default is.
+    lz.kernel.machine.set_metrics(true);
     if let Some(space) = cfg.vmid_space {
         lz.kernel.vmids = VmidAllocator::with_space(space);
     }

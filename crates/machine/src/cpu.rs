@@ -13,6 +13,7 @@
 //! EL1 software is a modelled guest kernel.
 
 use crate::fxhash::FxHashMap;
+use crate::jit::CompiledBlock;
 use crate::mem::PhysMem;
 use crate::metrics::{EventKind, Journal, MachineMetrics, Section};
 use crate::tlb::Tlb;
@@ -25,76 +26,29 @@ use lz_arch::sysreg::{hcr, sctlr, SysReg};
 use lz_arch::{CycleModel, Platform};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Process-wide default for [`Machine::set_fetch_cache`], initialised from
-/// the `LZ_FETCH_CACHE` environment variable (`0`/`off` disables). Lets
-/// harnesses (`repro`, CI) flip the fast path for whole runs without
+/// Process-wide default for [`Machine::set_accel`], initialised from the
+/// `LZ_ACCEL` environment variable (`0`/`off` disables). Lets harnesses
+/// (`repro`, CI) run whole processes on the reference engine without
 /// threading a flag through every constructor.
-fn default_flag() -> &'static AtomicBool {
+fn accel_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
     FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_FETCH_CACHE").as_deref(), Ok("0") | Ok("off") | Ok("false"));
+        let on = !matches!(std::env::var("LZ_ACCEL").as_deref(), Ok("0") | Ok("off") | Ok("false"));
         AtomicBool::new(on)
     })
 }
 
-/// The default decoded-block cache setting for new [`Machine`]s.
-pub fn default_fetch_cache() -> bool {
-    default_flag().load(Ordering::Relaxed)
+/// The default acceleration setting for new [`Machine`]s.
+pub fn default_accel() -> bool {
+    accel_flag().load(Ordering::Relaxed)
 }
 
-/// Override the default decoded-block cache setting for new [`Machine`]s
+/// Override the default acceleration setting for new [`Machine`]s
 /// (tests and benchmarks; existing machines are unaffected).
-pub fn set_default_fetch_cache(on: bool) {
-    default_flag().store(on, Ordering::Relaxed);
-}
-
-/// Process-wide default for [`Machine::set_fastpath`], initialised from
-/// the `LZ_FASTPATH` environment variable (`0`/`off` disables). Governs
-/// the data-side acceleration layer: micro-DTLB, stage-1/stage-2 walk
-/// cache, and superblock execution.
-fn fastpath_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_FASTPATH").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
-}
-
-/// The default data-side fast path setting for new [`Machine`]s.
-pub fn default_fastpath() -> bool {
-    fastpath_flag().load(Ordering::Relaxed)
-}
-
-/// Override the default data-side fast path setting for new [`Machine`]s
-/// (tests and benchmarks; existing machines are unaffected).
-pub fn set_default_fastpath(on: bool) {
-    fastpath_flag().store(on, Ordering::Relaxed);
-}
-
-/// Process-wide default for [`Machine::set_jit`], initialised from the
-/// `LZ_JIT` environment variable (`0`/`off` disables). Governs the
-/// template-JIT superblock engine (see [`crate::jit`]); it layers on top
-/// of the fetch cache and the data-side fast path, so it only ever
-/// engages when both of those are on too.
-fn jit_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_JIT").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
-}
-
-/// The default template-JIT setting for new [`Machine`]s.
-pub fn default_jit() -> bool {
-    jit_flag().load(Ordering::Relaxed)
-}
-
-/// Override the default template-JIT setting for new [`Machine`]s
-/// (tests and benchmarks; existing machines are unaffected).
-pub fn set_default_jit(on: bool) {
-    jit_flag().store(on, Ordering::Relaxed);
+pub fn set_default_accel(on: bool) {
+    accel_flag().store(on, Ordering::Relaxed);
 }
 
 /// Process-wide default for [`Machine::set_parallel`], initialised from
@@ -124,11 +78,10 @@ pub fn set_default_parallel(on: bool) {
     parallel_flag().store(on, Ordering::Relaxed);
 }
 
-/// Upper bound on instructions per superblock. Bounds the per-block
-/// scratch buffer; the effective bound is `min(SUPERBLOCK_MAX, budget)`
-/// so scheduler quanta are never overrun. Compiled JIT blocks inherit
-/// this bound (they are lowered from extracted superblocks) and re-check
-/// it against the live budget at entry — see `Machine::step_block`.
+/// Upper bound on instructions per compiled block (the extraction
+/// scratch buffer's capacity). A block's shape never depends on the
+/// budget: the executor stops inside it when the quantum or an armed
+/// breakpoint runs out first — see `Machine::step_jit`.
 pub(crate) const SUPERBLOCK_MAX: u64 = 64;
 
 /// Why the interpreter stopped.
@@ -271,14 +224,6 @@ pub struct Machine {
     /// vectoring through `VBAR_EL1` (the EL1 software is a modelled guest
     /// kernel rather than interpreted code).
     pub(crate) el1_external: bool,
-    /// Decoded-block fetch cache toggle. Skips host-side walk + decode
-    /// work only; modelled cycles are bit-identical either way.
-    pub(crate) fetch_cache: bool,
-    /// Template-JIT toggle. Machine-wide (like `fetch_cache`): compiled
-    /// blocks themselves live per-core inside each TLB's icache. Only
-    /// engages when the fetch cache and the fast path are also on;
-    /// modelled cycles and journals are bit-identical either way.
-    pub(crate) jit: bool,
     /// Epoch execution backend: host threads (`true`) or sequential
     /// deterministic replay (`false`). Host-side only; see
     /// [`Machine::run_epoch`].
@@ -290,8 +235,8 @@ pub struct Machine {
     /// [`Machine::set_sysreg`] so [`Machine::walk_config`] can memoise.
     pub(crate) cfg_gen: u64,
     pub(crate) cfg_memo: Cell<Option<(u64, WalkConfig)>>,
-    /// Reusable scratch buffer for superblock extraction (avoids a heap
-    /// allocation per block).
+    /// Reusable scratch buffer for block extraction (avoids a heap
+    /// allocation per compiled block).
     pub(crate) sb_buf: Vec<(u32, Insn)>,
     /// SMP state: parked cores and cross-core traffic counters. A
     /// default machine is single-core; see [`crate::smp`].
@@ -315,7 +260,7 @@ impl Machine {
     pub fn new(platform: Platform) -> Self {
         let model = platform.model();
         let mut tlb = Tlb::with_l1(model.tlb_l1_entries, model.tlb_entries);
-        tlb.set_fastpath(default_fastpath());
+        tlb.set_accel(default_accel());
         Machine {
             mem: PhysMem::new(),
             tlb,
@@ -325,8 +270,6 @@ impl Machine {
             journal: Journal::default(),
             metrics: MachineMetrics::default(),
             el1_external: false,
-            fetch_cache: default_fetch_cache(),
-            jit: default_jit(),
             parallel: default_parallel(),
             epoch: None,
             cfg_gen: 0,
@@ -361,7 +304,7 @@ impl Machine {
     /// reach at that instruction boundary, on every engine. It is read at
     /// block starts only; blocks are clamped to end before `pc` the way
     /// the instruction budget clamps them, so an armed breakpoint keeps
-    /// superblock and JIT speed. [`Machine::run_epoch`] ignores it and
+    /// compiled-block speed. [`Machine::run_epoch`] ignores it and
     /// leaves it armed.
     ///
     /// # Panics
@@ -386,48 +329,22 @@ impl Machine {
         self.cfg_memo.set(None);
     }
 
-    /// Enable or disable the decoded-block fetch cache (tests run both
-    /// paths; see `tests/differential.rs` at the workspace root).
-    pub fn set_fetch_cache(&mut self, on: bool) {
-        self.fetch_cache = on;
-        self.cfg_memo.set(None);
-    }
-
-    /// Whether the decoded-block fetch cache is enabled.
-    pub fn fetch_cache(&self) -> bool {
-        self.fetch_cache
-    }
-
-    /// Enable or disable the data-side fast path (micro-DTLB, walk
-    /// cache, superblock execution) on every core. Host-side only: the
-    /// differential suite proves cycles, exits, and journals identical
-    /// with it on or off.
-    pub fn set_fastpath(&mut self, on: bool) {
-        self.tlb.set_fastpath(on);
+    /// Enable or disable the acceleration layer on every core: the
+    /// decoded-block fetch cache, the micro-DTLB, the stage-1/stage-2
+    /// walk cache and compiled-block execution (see [`crate::jit`]).
+    /// Off is the reference engine — uncached fetch and one `step()` per
+    /// instruction. Host-side only: the differential suite proves
+    /// cycles, exits and journals identical either way.
+    pub fn set_accel(&mut self, on: bool) {
+        self.tlb.set_accel(on);
         for core in self.smp.cores.iter_mut().flatten() {
-            core.tlb.set_fastpath(on);
+            core.tlb.set_accel(on);
         }
     }
 
-    /// Whether the data-side fast path is enabled (active core).
-    pub fn fastpath(&self) -> bool {
-        self.tlb.fastpath()
-    }
-
-    /// Enable or disable the template-JIT superblock engine. Host-side
-    /// only — compiled blocks replay exactly the cycles, counters, and
-    /// journal the interpreter superblock would produce (differential
-    /// suite). Disabling drops nothing: stale compiled blocks are simply
-    /// never served, and the icache's invalidation scopes already drop
-    /// them alongside their decoded pages.
-    pub fn set_jit(&mut self, on: bool) {
-        self.jit = on;
-    }
-
-    /// Whether the template-JIT is enabled (it engages only when the
-    /// fetch cache and the data-side fast path are also on).
-    pub fn jit(&self) -> bool {
-        self.jit
+    /// Whether the acceleration layer is enabled (active core).
+    pub fn accel(&self) -> bool {
+        self.tlb.accel()
     }
 
     /// Choose the epoch execution backend: `true` (the `LZ_PARALLEL`
@@ -503,7 +420,6 @@ impl Machine {
             .with("s2_permission_faults", w.s2_permission_faults)
             .with("s2_access_flag_faults", w.s2_access_flag_faults)
             .with("dtlb_hits", fast.dtlb_hits)
-            .with("superblock_exits", fast.superblock_exits)
             .with("walkcache_hits", fast.walkcache_hits)
             .with("jit_blocks", fast.jit_blocks)
             .with("jit_compiled", fast.jit_compiled);
@@ -657,15 +573,17 @@ impl Machine {
     /// Run the interpreter until an exit condition, retiring at most
     /// `limit` instructions.
     ///
-    /// With both the fetch cache and the data-side fast path on,
-    /// execution proceeds in superblocks: straight-line decoded runs
-    /// execute without a per-instruction probe, but every instruction
-    /// boundary the budget-driven loop below would observe (quantum
-    /// expiry, exits, faults) is observed identically — a block never
-    /// executes past the remaining budget. An armed breakpoint (see
-    /// [`Machine::break_before`]) clamps blocks the same way.
+    /// There are two engines. With the acceleration layer off (see
+    /// [`Machine::set_accel`]) this is the reference loop: one `step()`
+    /// per instruction. With it on, execution proceeds in compiled
+    /// blocks: straight-line decoded runs execute without a
+    /// per-instruction probe, but every instruction boundary the
+    /// reference loop would observe (quantum expiry, exits, faults) is
+    /// observed identically — a block stops where the remaining budget
+    /// runs out. An armed breakpoint (see [`Machine::break_before`])
+    /// clamps blocks the same way.
     pub fn run(&mut self, limit: u64) -> Exit {
-        if self.fetch_cache && self.tlb.fastpath() {
+        if self.tlb.accel() {
             let mut remaining = limit;
             while remaining > 0 {
                 self.check_panic_hook();
@@ -727,7 +645,7 @@ impl Machine {
         let pc = self.cpu.pc;
         let cfg = self.walk_config();
         let fetch_ctx = AccessCtx { el: self.cpu.pstate.el, pan: false, unpriv: false };
-        match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, &fetch_ctx, self.fetch_cache) {
+        match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, &fetch_ctx) {
             Ok(f) => {
                 // Fetch charges only the translation cost: sequential
                 // i-fetch bandwidth is covered by `insn_base`.
@@ -744,29 +662,15 @@ impl Machine {
         }
     }
 
-    /// Execute up to `budget` instructions as one superblock: a
-    /// straight-line decoded run served by the armed fetch-cache entry
-    /// for the current PC, executed without per-instruction probes.
+    /// Execute up to `budget` instructions of the compiled block for the
+    /// current PC, compiling it first when the icache holds none. Falls
+    /// back to one cached `step()` where no block can be extracted
+    /// (translation off, or the PC's decoded slot is not armed yet).
     ///
     /// Returns `(attempts, exit)` where `attempts` counts run-loop
     /// iterations consumed — one per retired instruction, or one for a
     /// faulting fetch attempt on the fallback path — exactly matching
     /// what `budget` iterations of `step()` would consume.
-    ///
-    /// Equivalence to stepping is maintained by revalidating, between
-    /// instructions, everything the per-step fast probe checks:
-    ///
-    /// * the TLB generation (a load/store may have inserted or promoted
-    ///   an entry, an interpreted TLBI may have invalidated — any change
-    ///   ends the block);
-    /// * the code frame's content version via the `write_gen` shortcut
-    ///   (self-modifying stores end the block before the next fetch);
-    /// * the PC (a data fault vectored to interpreted EL1, or any control
-    ///   transfer by the block's final instruction, ends the block).
-    ///
-    /// Only "chainable" instructions (see `icache`) may appear mid-block,
-    /// so EL, PSTATE.PAN and the regime registers cannot change under a
-    /// running block.
     fn step_block(&mut self, budget: u64) -> (u64, Option<Exit>) {
         debug_assert!(self.cpu.pstate.el != ExceptionLevel::El2, "EL2 code is modelled, not interpreted");
         let pc = self.cpu.pc;
@@ -775,97 +679,62 @@ impl Machine {
             return (1, self.step());
         }
         let el = self.cpu.pstate.el;
-        if self.jit {
-            if let Some((block, pa_page, frame_version)) =
-                self.tlb.jit_block(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn)
-            {
-                // A compiled block charges its ALU runs in batches, so it
-                // must never be entered with fewer budgeted instructions
-                // than it retires: re-check the quantum here rather than
-                // at extraction time (the interpreter path's `max` clamp)
-                // and fall back to the clamped interpreter superblock
-                // when the quantum is nearly spent or an armed
-                // breakpoint lies inside the block (`run` folds its
-                // distance into `budget`).
-                if u64::from(block.total) <= budget {
-                    let (used, exit) = self.step_jit(&block, pc, pa_page, frame_version);
-                    debug_assert!(used <= budget, "JIT block overran its quantum budget");
-                    return (used, exit);
-                }
-            }
-        }
-        let max = budget.min(SUPERBLOCK_MAX) as usize;
-        let mut buf = std::mem::take(&mut self.sb_buf);
-        let got =
-            self.tlb.superblock(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, max, &mut buf);
-        let Some((pa_page, frame_version)) = got else {
-            self.sb_buf = buf;
+        let served = self.tlb.jit_block(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn);
+        let Some((block, pa_page, frame_version)) = served.or_else(|| self.compile_block(&cfg, el, pc)) else {
             return (1, self.step());
         };
-        // Lower this superblock for future entries — but only when its
-        // boundary is natural (terminal, empty slot, page end), not an
-        // artifact of a nearly-spent quantum or a breakpoint clamp:
-        // compiled blocks must have budget-independent shape.
-        if self.jit && (buf.len() < max || max == SUPERBLOCK_MAX as usize) {
-            if let Some(block) = crate::jit::lower(pc, &buf, self.model.insn_base) {
-                self.tlb.store_jit_block(cfg.vmid(), cfg.asid(), el, pc, block);
-            }
-        }
-        let gen0 = self.tlb.generation();
-        let mut checked_wg = self.mem.write_gen();
-        let mut used = 0u64;
-        let mut exit = None;
-        for (k, &(word, insn)) in buf.iter().enumerate() {
-            let pc_k = pc + 4 * k as u64;
-            if k > 0 {
-                if self.tlb.generation() != gen0 {
-                    break;
-                }
-                let wg = self.mem.write_gen();
-                if wg != checked_wg {
-                    if self.mem.frame_version(pa_page) != Some(frame_version) {
-                        break;
-                    }
-                    checked_wg = wg;
-                }
-            }
-            self.tlb.count_superblock_insn();
-            used += 1;
-            self.cpu.insns += 1;
-            self.charge(self.model.insn_base);
-            self.trace.record(pc_k, word, el);
-            exit = self.execute(insn, word);
-            if exit.is_some() {
-                break;
-            }
-            if self.cpu.pc != pc_k + 4 {
-                break;
-            }
-        }
-        self.tlb.count_superblock_exit();
-        self.sb_buf = buf;
-        (used, exit)
+        self.step_jit(&block, pc, pa_page, frame_version, budget)
     }
 
-    /// Execute a compiled superblock (see [`crate::jit`]).
+    /// Extract the decoded run at `pc` up to its natural boundary
+    /// (terminal, empty slot, page end or [`SUPERBLOCK_MAX`]), lower it
+    /// and store it in the icache page entry it came from. Returns the
+    /// block plus the backing `(pa_page, frame_version)`, or `None`
+    /// when the icache cannot serve `pc` at the current TLB generation.
+    fn compile_block(
+        &mut self,
+        cfg: &WalkConfig,
+        el: ExceptionLevel,
+        pc: u64,
+    ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
+        let mut buf = std::mem::take(&mut self.sb_buf);
+        let got = self.tlb.superblock(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, &mut buf);
+        let served = got.and_then(|(pa_page, frame_version)| {
+            let block = crate::jit::lower(pc, &buf, self.model.insn_base);
+            let block = self.tlb.store_jit_block(cfg.vmid(), cfg.asid(), el, pc, block)?;
+            Some((block, pa_page, frame_version))
+        });
+        self.sb_buf = buf;
+        served
+    }
+
+    /// Execute a compiled block (see [`crate::jit`]), retiring at most
+    /// `budget` instructions.
     ///
-    /// Equivalence to the interpreter superblock: ALU-template runs
-    /// cannot touch the TLB, memory, the PC, or the journal, so the
-    /// per-instruction revalidation `step_block` performs is a provable
-    /// no-op inside a run and is instead performed once per segment
-    /// boundary — which observes exactly the states the interpreter
-    /// would, because only `Slow` segments can perturb them. Cycle,
-    /// instruction, and hit counters are charged in per-run batches that
-    /// sum to the interpreter's per-instruction totals, and no
+    /// Equivalence to `budget` reference steps: ALU-template runs cannot
+    /// touch the TLB, memory, the PC, or the journal, so the TLB
+    /// generation, the code frame's content version (via the `write_gen`
+    /// shortcut) and the PC are revalidated once per segment boundary —
+    /// which observes exactly the states stepping would, because only
+    /// `Slow` segments can perturb them. A changed generation or frame
+    /// ends the block before the next instruction; so does a `Slow`
+    /// segment that leaves the fall-through path (a data fault vectored
+    /// to interpreted EL1, or the block's final control transfer).
+    ///
+    /// Cycle, instruction, and hit counters are charged in per-run
+    /// batches that sum to the per-instruction totals, and no
     /// cycle-stamped event can be emitted between the instructions of a
-    /// run. `Slow` segments run the interpreter's own bookkeeping
-    /// verbatim.
+    /// run. When the budget ends inside a run, only its first ops
+    /// execute and each is charged its own cost (`insn_base` plus any
+    /// multiply/divide latency). `Slow` segments run the interpreter's
+    /// own bookkeeping verbatim.
     fn step_jit(
         &mut self,
-        block: &crate::jit::CompiledBlock,
+        block: &CompiledBlock,
         pc: u64,
         pa_page: u64,
         frame_version: u64,
+        budget: u64,
     ) -> (u64, Option<Exit>) {
         use crate::jit::Segment;
         self.tlb.count_jit_block();
@@ -876,6 +745,9 @@ impl Machine {
         let mut exit = None;
         let mut pc_k = pc;
         for (si, seg) in block.segs.iter().enumerate() {
+            if used == budget {
+                break;
+            }
             if si > 0 {
                 if self.tlb.generation() != gen0 {
                     break;
@@ -890,6 +762,13 @@ impl Machine {
             }
             match seg {
                 Segment::Alu { ops, cycles } => {
+                    let room = budget - used;
+                    let (ops, cycles) = if ops.len() as u64 <= room {
+                        (&ops[..], *cycles)
+                    } else {
+                        let ops = &ops[..room as usize];
+                        (ops, ops.iter().map(|op| op.cycles(self.model.insn_base)).sum())
+                    };
                     let n = ops.len() as u64;
                     self.tlb.count_superblock_insns(n);
                     self.cpu.insns += n;
@@ -926,7 +805,6 @@ impl Machine {
                 }
             }
         }
-        self.tlb.count_superblock_exit();
         (used, exit)
     }
 
@@ -1005,14 +883,14 @@ impl Machine {
             }
             Insn::Madd { rd, rn, rm, ra } => {
                 let v = self.cpu.reg(ra).wrapping_add(self.cpu.reg(rn).wrapping_mul(self.cpu.reg(rm)));
-                self.charge(crate::jit::MADD_EXTRA_CYCLES); // multiply latency
+                self.charge(u64::from(crate::jit::MADD_EXTRA_CYCLES)); // multiply latency
                 self.cpu.set_reg(rd, v);
                 self.cpu.pc = next_pc;
             }
             Insn::Udiv { rd, rn, rm } => {
                 let d = self.cpu.reg(rm);
                 let v = self.cpu.reg(rn).checked_div(d).unwrap_or(0);
-                self.charge(crate::jit::UDIV_EXTRA_CYCLES); // divide latency
+                self.charge(u64::from(crate::jit::UDIV_EXTRA_CYCLES)); // divide latency
                 self.cpu.set_reg(rd, v);
                 self.cpu.pc = next_pc;
             }

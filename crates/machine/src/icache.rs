@@ -283,6 +283,38 @@ impl ICache {
         });
     }
 
+    /// The page entry for `(vmid, asid, el, va)`, provided it is armed at
+    /// `tlb_gen` for `asid`, the regime flags match, and its code frame
+    /// is content-fresh: the validation shared by every lookup-free path
+    /// ([`Self::fast_probe`], [`Self::superblock`], [`Self::jit_block`]).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn armed_entry(
+        &mut self,
+        mem: &PhysMem,
+        vmid: u16,
+        asid: u16,
+        el: ExceptionLevel,
+        va: u64,
+        s1_enabled: bool,
+        wxn: bool,
+        tlb_gen: u64,
+    ) -> Option<&mut PageEntry> {
+        let key = PageKey { vmid, vpn: va >> 12 };
+        let entries = self.pages.get_mut(&key)?;
+        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
+        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
+            return None;
+        }
+        if e.checked_gen != mem.write_gen() {
+            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
+                return None;
+            }
+            e.checked_gen = mem.write_gen();
+        }
+        Some(e)
+    }
+
     /// The memoised fast path: serve a block with *no* TLB interaction
     /// beyond replaying the free L1 hit, valid only while the TLB
     /// generation recorded by [`Self::arm_fast`] is current (so the L1
@@ -303,38 +335,30 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
     ) -> Option<(u64, u32, Insn)> {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = self.pages.get_mut(&key)?;
-        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
-        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
+        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
         let slot = (va >> 2) as usize & (WORDS_PER_PAGE - 1);
         let (word, insn) = e.slots[slot]?;
+        let pa = e.info.pa_page | (va & 0xfff);
         self.hits += 1;
-        Some((e.info.pa_page | (va & 0xfff), word, insn))
+        Some((pa, word, insn))
     }
 
-    /// Extract a straight-line decoded run for superblock execution.
+    /// Extract a straight-line decoded run (a superblock) for lowering
+    /// into a compiled block.
     ///
     /// Validation is exactly [`Self::fast_probe`]'s (armed at `tlb_gen`
     /// for `asid`, regime flags unchanged, code frame content-fresh) but
-    /// no hit/miss counters are touched here: the superblock executor
+    /// no hit/miss counters are touched here: the block executor
     /// replays one hit per instruction *as it executes*, so a partially
     /// executed block leaves the same statistics as stepping would.
     ///
     /// The run starts at `va`'s slot and extends while each instruction
-    /// is decoded, [`chainable`], and within the page, up to `max`
-    /// instructions; one trailing non-chainable instruction may be
-    /// included because nothing executes after it inside the block.
-    /// Returns the backing `(pa_page, frame_version)` for per-instruction
-    /// content revalidation, or `None` to fall back to single-stepping.
+    /// is decoded, [`chainable`], and within the page, up to
+    /// `SUPERBLOCK_MAX` instructions; one trailing non-chainable
+    /// instruction may be included because nothing executes after it
+    /// inside the block. Returns the backing `(pa_page, frame_version)`
+    /// for per-segment content revalidation, or `None` to fall back to
+    /// single-stepping.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn superblock(
         &mut self,
@@ -346,28 +370,13 @@ impl ICache {
         s1_enabled: bool,
         wxn: bool,
         tlb_gen: u64,
-        max: usize,
         out: &mut Vec<(u32, Insn)>,
     ) -> Option<(u64, u64)> {
         out.clear();
-        if max == 0 {
-            return None;
-        }
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = self.pages.get_mut(&key)?;
-        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
-        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
+        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
         let first = (va >> 2) as usize & (WORDS_PER_PAGE - 1);
         for slot in first..WORDS_PER_PAGE {
-            if out.len() >= max {
+            if out.len() >= crate::cpu::SUPERBLOCK_MAX as usize {
                 break;
             }
             let Some((word, insn)) = e.slots[slot] else { break };
@@ -382,7 +391,7 @@ impl ICache {
         Some((e.info.pa_page, e.frame_version))
     }
 
-    /// Serve a compiled superblock for the fetch at `va`. Validation is
+    /// Serve a compiled block for the fetch at `va`. Validation is
     /// exactly [`Self::superblock`]'s — armed at `tlb_gen` for `asid`,
     /// regime flags unchanged, code frame content-fresh — so a compiled
     /// block is served only in states where the decoded run it was
@@ -401,27 +410,16 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
     ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = self.pages.get_mut(&key)?;
-        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
-        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
+        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
         let slot = (va >> 2) as u16 & (WORDS_PER_PAGE as u16 - 1);
         let block = e.blocks.get(&slot)?;
         Some((Arc::clone(block), e.info.pa_page, e.frame_version))
     }
 
-    /// Attach a compiled superblock to the page entry its decoded run was
-    /// just extracted from. A missing entry (evicted between extraction
-    /// and lowering — impossible today, but cheap to tolerate) simply
-    /// drops the block.
+    /// Attach a compiled block to the page entry its decoded run was
+    /// just extracted from and return the shared handle. A missing entry
+    /// (evicted between extraction and lowering — impossible today, but
+    /// cheap to tolerate) drops the block and returns `None`.
     pub(crate) fn store_jit_block(
         &mut self,
         vmid: u16,
@@ -429,20 +427,17 @@ impl ICache {
         el: ExceptionLevel,
         va: u64,
         block: CompiledBlock,
-    ) -> bool {
+    ) -> Option<Arc<CompiledBlock>> {
         let key = PageKey { vmid, vpn: va >> 12 };
-        let Some(entries) = self.pages.get_mut(&key) else { return false };
-        let Some(e) =
-            entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)
-        else {
-            return false;
-        };
+        let entries = self.pages.get_mut(&key)?;
+        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
         let slot = (va >> 2) as u16 & (WORDS_PER_PAGE as u16 - 1);
-        e.blocks.insert(slot, Arc::new(block));
-        true
+        let block = Arc::new(block);
+        e.blocks.insert(slot, Arc::clone(&block));
+        Some(block)
     }
 
-    /// Replay one decoded-block hit (superblock per-instruction
+    /// Replay one decoded-block hit (compiled-block per-instruction
     /// bookkeeping).
     #[inline]
     pub(crate) fn count_hit(&mut self) {

@@ -1,11 +1,10 @@
-//! Template-JIT superblock engine: a lowered IR of pre-specialized host
-//! closures for the chainable ALU subset.
+//! Template JIT: the accelerated engine's block format, a lowered IR of
+//! pre-specialized host closures for the chainable ALU subset.
 //!
-//! The interpreter's superblocks (see `Machine::step_block`) already
-//! execute straight-line decoded runs, but still dispatch one decoded
-//! [`Insn`] at a time through the full `execute` match, re-checking the
-//! TLB generation and the code frame's content version between every
-//! instruction. This module lowers a superblock once into a
+//! The reference engine dispatches one decoded [`Insn`] at a time
+//! through the full `execute` match. With the acceleration layer on,
+//! `Machine::step_block` instead extracts each straight-line decoded run
+//! once (see `ICache::superblock`) and lowers it into a
 //! [`CompiledBlock`]: runs of pure-ALU *templates* — function pointers
 //! selected at lowering time with register slots resolved, immediates
 //! constant-folded (including fully PC-folded `ADR`/`ADRP`, since a
@@ -14,20 +13,24 @@
 //! segments for anything that needs full interpreter bookkeeping
 //! (loads/stores and the block's trailing non-chainable instruction).
 //!
+//! Every extracted run lowers, so a block made only of `Slow` segments is
+//! an ordinary compiled block: the engine has no second, interpreted
+//! block loop.
+//!
 //! # Why per-segment revalidation is exact
 //!
-//! The interpreter superblock revalidates `Tlb::generation` and
-//! `PhysMem::write_gen`/`frame_version` before every instruction after
-//! the first. An ALU template touches only `Cpu` registers, NZCV, and
-//! the cycle/instruction counters: it cannot insert or promote a TLB
-//! entry, write memory, fault, or move the PC off the fall-through path.
+//! Stepping observes `Tlb::generation` and `PhysMem::write_gen`/
+//! `frame_version` before every instruction. An ALU template touches
+//! only `Cpu` registers, NZCV, and the cycle/instruction counters: it
+//! cannot insert or promote a TLB entry, write memory, fault, or move
+//! the PC off the fall-through path.
 //! Both checks are therefore provably no-ops *inside* an ALU run, and
-//! checking once per segment boundary observes exactly the states the
-//! interpreter would. `Slow` segments run through `Machine::execute`
-//! with the interpreter's own per-instruction bookkeeping, so a store
-//! that bumps `write_gen` (self-modifying code) or a load that promotes
-//! a TLB entry ends the compiled block at the same boundary it would
-//! have ended the decoded one.
+//! checking once per segment boundary observes exactly the states
+//! stepping would. `Slow` segments run through `Machine::execute` with
+//! the interpreter's own per-instruction bookkeeping, so a store that
+//! bumps `write_gen` (self-modifying code) or a load that promotes a TLB
+//! entry ends the compiled block at the same boundary a step loop would
+//! observe it.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -36,7 +39,10 @@
 //! one `cycles +=`. The only observers of intermediate cycle values are
 //! journal events (`Machine::record_event` stamps `cpu.cycles`) and
 //! traps — and ALU templates emit neither, so no observation point can
-//! distinguish batched from per-instruction charging. Trace entries are
+//! distinguish batched from per-instruction charging. When the quantum
+//! or a breakpoint ends a block inside a run, the executor runs only the
+//! run's first ops and charges each its own `Tmpl::cycles`, so a
+//! partial run leaves the counters a step loop would. Trace entries are
 //! `(pc, word, EL)` tuples without a cycle stamp and are replayed
 //! per-op when tracing is enabled.
 
@@ -46,9 +52,9 @@ use lz_arch::pstate::Nzcv;
 
 /// Extra modelled latency of `MADD` beyond `insn_base` (shared with the
 /// interpreter's `execute`).
-pub(crate) const MADD_EXTRA_CYCLES: u64 = 2;
+pub(crate) const MADD_EXTRA_CYCLES: u8 = 2;
 /// Extra modelled latency of `UDIV` beyond `insn_base`.
-pub(crate) const UDIV_EXTRA_CYCLES: u64 = 8;
+pub(crate) const UDIV_EXTRA_CYCLES: u8 = 8;
 
 /// One lowered ALU instruction: a template function plus its resolved
 /// operands. `run` is selected at lowering time (flag-setting and
@@ -56,7 +62,8 @@ pub(crate) const UDIV_EXTRA_CYCLES: u64 = 8;
 /// indices (`x31` semantics live in [`Cpu::reg`]/[`Cpu::set_reg`]), and
 /// `a`/`b` carry folded immediates — a shift amount, a pre-shifted
 /// imm12, a MOVK keep-mask, or a fully PC-folded `ADR`/`ADRP` result.
-/// `word` is kept for trace replay.
+/// `extra` is the modelled latency beyond `insn_base`; `word` is kept
+/// for trace replay.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tmpl {
     run: fn(&mut Cpu, &Tmpl),
@@ -67,6 +74,7 @@ pub(crate) struct Tmpl {
     rm: u8,
     ra: u8,
     cond: Cond,
+    extra: u8,
     pub(crate) word: u32,
 }
 
@@ -75,6 +83,12 @@ impl Tmpl {
     #[inline(always)]
     pub(crate) fn exec(&self, cpu: &mut Cpu) {
         (self.run)(cpu, self)
+    }
+
+    /// This op's modelled cost: `insn_base` plus its fixed latency.
+    #[inline]
+    pub(crate) fn cycles(&self, insn_base: u64) -> u64 {
+        insn_base + u64::from(self.extra)
     }
 }
 
@@ -94,15 +108,11 @@ pub(crate) enum Segment {
 /// interpreter segments. Stored in the icache page entry that produced
 /// it and therefore dropped by exactly the invalidation scopes (TLBI,
 /// ASID/VMID maintenance, content staleness, capacity) that drop the
-/// decoded block; serve-time and per-segment revalidation mirror the
-/// interpreter superblock's checks.
+/// decoded block; serve-time validation mirrors the decoded-slot fast
+/// probe, and per-segment revalidation mirrors what stepping observes.
 #[derive(Debug)]
 pub struct CompiledBlock {
     pub(crate) segs: Box<[Segment]>,
-    /// Total instruction count across all segments — equals the decoded
-    /// run length, and bounds what one entry can retire (the dispatcher
-    /// refuses entry when this exceeds the remaining quantum budget).
-    pub(crate) total: u32,
 }
 
 // --- template library ---------------------------------------------------
@@ -201,14 +211,13 @@ fn t_nop(_cpu: &mut Cpu, _t: &Tmpl) {}
 
 // --- lowering -----------------------------------------------------------
 
-const BLANK: Tmpl = Tmpl { run: t_nop, a: 0, b: 0, rd: 31, rn: 31, rm: 31, ra: 31, cond: Cond::Al, word: 0 };
+const BLANK: Tmpl = Tmpl { run: t_nop, a: 0, b: 0, rd: 31, rn: 31, rm: 31, ra: 31, cond: Cond::Al, extra: 0, word: 0 };
 
 /// Lower one instruction to an ALU template, or `None` when it needs a
-/// `Slow` segment. Returns the template plus its extra modelled latency
-/// beyond `insn_base`. `pc` is the instruction's virtual address (fixed
-/// by the block's icache key), letting `ADR`/`ADRP` fold completely.
-fn lower_alu(pc: u64, word: u32, insn: Insn) -> Option<(Tmpl, u64)> {
-    let t = match insn {
+/// `Slow` segment. `pc` is the instruction's virtual address (fixed by
+/// the block's icache key), letting `ADR`/`ADRP` fold completely.
+fn lower_alu(pc: u64, word: u32, insn: Insn) -> Option<Tmpl> {
+    Some(match insn {
         Insn::Movz { rd, imm16, hw } => Tmpl { run: t_mov_const, a: (imm16 as u64) << (16 * hw), rd, word, ..BLANK },
         Insn::Movn { rd, imm16, hw } => Tmpl { run: t_mov_const, a: !((imm16 as u64) << (16 * hw)), rd, word, ..BLANK },
         Insn::Movk { rd, imm16, hw } => {
@@ -249,35 +258,28 @@ fn lower_alu(pc: u64, word: u32, insn: Insn) -> Option<(Tmpl, u64)> {
         Insn::Adrp { rd, offset } => {
             Tmpl { run: t_mov_const, a: (pc & !0xfff).wrapping_add_signed(offset), rd, word, ..BLANK }
         }
-        Insn::Madd { rd, rn, rm, ra } => {
-            return Some((Tmpl { run: t_madd, rd, rn, rm, ra, word, ..BLANK }, MADD_EXTRA_CYCLES));
-        }
-        Insn::Udiv { rd, rn, rm } => {
-            return Some((Tmpl { run: t_udiv, rd, rn, rm, word, ..BLANK }, UDIV_EXTRA_CYCLES));
-        }
+        Insn::Madd { rd, rn, rm, ra } => Tmpl { run: t_madd, rd, rn, rm, ra, extra: MADD_EXTRA_CYCLES, word, ..BLANK },
+        Insn::Udiv { rd, rn, rm } => Tmpl { run: t_udiv, rd, rn, rm, extra: UDIV_EXTRA_CYCLES, word, ..BLANK },
         Insn::Csel { rd, rn, rm, cond } => Tmpl { run: t_csel, rd, rn, rm, cond, word, ..BLANK },
         Insn::Csinc { rd, rn, rm, cond } => Tmpl { run: t_csinc, rd, rn, rm, cond, word, ..BLANK },
         Insn::Nop => Tmpl { run: t_nop, word, ..BLANK },
         _ => return None,
-    };
-    Some((t, 0))
+    })
 }
 
 /// Lower a decoded superblock (as extracted by `ICache::superblock`,
-/// starting at virtual address `va`) into a [`CompiledBlock`]. Returns
-/// `None` when no instruction lowers to an ALU template — a pure
-/// load/store or single-terminal block gains nothing over the
-/// interpreter superblock.
-pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<CompiledBlock> {
+/// starting at virtual address `va`) into a [`CompiledBlock`]. A run
+/// with no ALU instruction lowers to `Slow` segments only.
+pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> CompiledBlock {
     let mut segs: Vec<Segment> = Vec::new();
     let mut run: Vec<Tmpl> = Vec::new();
     let mut run_cycles = 0u64;
     for (k, &(word, insn)) in buf.iter().enumerate() {
         let pc_k = va + 4 * k as u64;
         match lower_alu(pc_k, word, insn) {
-            Some((t, extra)) => {
+            Some(t) => {
+                run_cycles += t.cycles(insn_base);
                 run.push(t);
-                run_cycles += insn_base + extra;
             }
             None => {
                 if !run.is_empty() {
@@ -291,10 +293,7 @@ pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<Comp
     if !run.is_empty() {
         segs.push(Segment::Alu { ops: run.into_boxed_slice(), cycles: run_cycles });
     }
-    if !segs.iter().any(|s| matches!(s, Segment::Alu { .. })) {
-        return None;
-    }
-    Some(CompiledBlock { segs: segs.into_boxed_slice(), total: buf.len() as u32 })
+    CompiledBlock { segs: segs.into_boxed_slice() }
 }
 
 #[cfg(test)]
@@ -309,8 +308,7 @@ mod tests {
     fn pure_alu_block_lowers_to_one_run() {
         // movz x0, #7 ; add x0, x0, #1 ; nop
         let buf = block(&[0xD280_00E0, 0x9100_0400, 0xD503_201F]);
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
-        assert_eq!(b.total, 3);
+        let b = lower(0x40_0000, &buf, 1);
         assert_eq!(b.segs.len(), 1);
         match &b.segs[0] {
             Segment::Alu { ops, cycles } => {
@@ -325,7 +323,7 @@ mod tests {
     fn memory_ops_split_runs() {
         // movz x0, #7 ; ldr x1, [x2] ; movz x3, #9
         let buf = block(&[0xD280_00E0, 0xF940_0041, 0xD280_0123]);
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        let b = lower(0x40_0000, &buf, 1);
         assert_eq!(b.segs.len(), 3);
         assert!(matches!(b.segs[0], Segment::Alu { .. }));
         assert!(matches!(b.segs[1], Segment::Slow { .. }));
@@ -333,20 +331,22 @@ mod tests {
     }
 
     #[test]
-    fn block_with_no_alu_does_not_lower() {
+    fn block_with_no_alu_lowers_to_slow_segments() {
         // ldr x1, [x2] ; svc #0
         let buf = block(&[0xF940_0041, 0xD400_0001]);
-        assert!(lower(0x40_0000, &buf, 1).is_none());
+        let b = lower(0x40_0000, &buf, 1);
+        assert_eq!(b.segs.len(), 2);
+        assert!(b.segs.iter().all(|s| matches!(s, Segment::Slow { .. })));
     }
 
     #[test]
     fn madd_and_udiv_latencies_are_batched() {
         // mul x0, x1, x2 ; udiv x3, x4, x5
         let buf = block(&[0x9B02_7C20, 0x9AC5_0883]);
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        let b = lower(0x40_0000, &buf, 1);
         match &b.segs[0] {
             Segment::Alu { cycles, .. } => {
-                assert_eq!(*cycles, 2 + MADD_EXTRA_CYCLES + UDIV_EXTRA_CYCLES);
+                assert_eq!(*cycles, 2 + u64::from(MADD_EXTRA_CYCLES + UDIV_EXTRA_CYCLES));
             }
             s => panic!("expected ALU run, got {s:?}"),
         }
@@ -357,7 +357,7 @@ mod tests {
         // adr x0, #+16 at va 0x40_0100
         let buf = block(&[0x1000_0080]);
         // Single ADR is still an ALU run.
-        let b = lower(0x40_0100, &buf, 1).expect("lowers");
+        let b = lower(0x40_0100, &buf, 1);
         let Segment::Alu { ops, .. } = &b.segs[0] else { panic!("expected ALU run") };
         let mut cpu = Cpu::new();
         ops[0].exec(&mut cpu);

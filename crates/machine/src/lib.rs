@@ -13,7 +13,9 @@
 //!   path without changing modelled cycles ([`icache`]),
 //! * a CPU interpreter over the `lz-arch` instruction subset with
 //!   exception levels, vectored exception entry, `HCR_EL2` trap controls,
-//!   hardware watchpoints, and cycle accounting ([`cpu`]),
+//!   hardware watchpoints, and cycle accounting ([`cpu`]), run by one of
+//!   two engines chosen by `Machine::set_accel`: the reference step loop
+//!   or template-JIT compiled blocks ([`jit`]), cycle-identical,
 //! * an observability layer — per-subsystem counters, a bounded
 //!   cycle-stamped event journal, and a JSON/text report assembler — that
 //!   never feeds back into the modelled domain ([`metrics`]).
@@ -38,10 +40,7 @@ pub mod trace;
 pub mod walk;
 
 pub use chaos::{ChaosState, FaultPlan, FaultSite, LzFault, ALL_SITES};
-pub use cpu::{
-    default_fastpath, default_fetch_cache, default_jit, default_parallel, set_default_fastpath,
-    set_default_fetch_cache, set_default_jit, set_default_parallel, Exit, Machine,
-};
+pub use cpu::{default_accel, default_parallel, set_default_accel, set_default_parallel, Exit, Machine};
 pub use icache::ICache;
 pub use mem::PhysMem;
 pub use metrics::{Event, EventKind, Journal, Report, Section};

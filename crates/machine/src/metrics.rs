@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 
 /// Process-wide default for journal recording, initialised from the
 /// `LZ_METRICS` environment variable (`0`/`off` disables). Mirrors the
-/// `LZ_FETCH_CACHE` pattern in `cpu.rs`.
+/// `LZ_ACCEL` pattern in `cpu.rs`.
 fn default_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
     FLAG.get_or_init(|| {
@@ -117,12 +117,12 @@ impl WalkStats {
     }
 }
 
-/// Host-side fast-path counters: how often the data-side acceleration
-/// layer (micro-DTLB, superblock execution, stage-1/stage-2 walk cache)
+/// Host-side acceleration counters: how often the acceleration layer
+/// (micro-DTLB, compiled blocks, stage-1/stage-2 walk cache)
 /// short-circuited host work.
 ///
 /// Unlike [`WalkStats`], these counters describe *host-side* savings
-/// only: they are zero with the fast path off and positive with it on,
+/// only: they are zero with the layer off and positive with it on,
 /// while every modelled quantity (cycles, TLB hit/miss counts, walk
 /// counts, fault ordering) stays byte-identical. They live in the `walk`
 /// report section because that is the work they elide.
@@ -130,16 +130,13 @@ impl WalkStats {
 pub struct FastStats {
     /// Data accesses served by the micro-DTLB (replayed as free L1 hits).
     pub dtlb_hits: u64,
-    /// Superblocks completed (each exit covers one straight-line run of
-    /// decoded instructions executed without per-instruction probes).
-    pub superblock_exits: u64,
     /// Stage-1(+stage-2) walks replayed from the walk cache instead of
     /// touching up to 7 table descriptors.
     pub walkcache_hits: u64,
-    /// Compiled superblocks executed by the template-JIT (zero with the
-    /// JIT — or anything it layers on — off).
+    /// Compiled-block entries (each covers one straight-line run of
+    /// decoded instructions executed without per-instruction probes).
     pub jit_blocks: u64,
-    /// Superblocks lowered to compiled blocks (each counts once, at
+    /// Decoded runs lowered to compiled blocks (each counts once, at
     /// compile time).
     pub jit_compiled: u64,
 }

@@ -194,10 +194,11 @@ pub struct Tlb {
     /// Walk/fault counters, owned here because every walk flows through
     /// `walk::translate`/`walk::fetch` with `&mut Tlb` in hand.
     pub(crate) walk: WalkStats,
-    /// Data-side fast path master switch (micro-DTLB, walk cache, and —
-    /// via `Machine::run` — superblock execution). Host-side only; every
-    /// modelled quantity is identical with it on or off.
-    fastpath: bool,
+    /// Acceleration master switch (decoded-block fetch cache, micro-DTLB,
+    /// walk cache, and — via `Machine::run` — compiled-block execution).
+    /// Host-side only; every modelled quantity is identical with it on
+    /// or off.
+    accel: bool,
     /// Micro-DTLB: direct-mapped by VPN, guarded by `gen`.
     dtlb: [DtlbSlot; DTLB_SLOTS],
     /// Stage-1/stage-2 walk cache, FIFO-replaced at `WCACHE_CAP`.
@@ -225,7 +226,7 @@ impl Tlb {
             icache: ICache::default(),
             inval: InvalStats::default(),
             walk: WalkStats::default(),
-            fastpath: false,
+            accel: false,
             dtlb: [EMPTY_DTLB_SLOT; DTLB_SLOTS],
             wcache: FxHashMap::default(),
             wcache_order: VecDeque::new(),
@@ -233,11 +234,11 @@ impl Tlb {
         }
     }
 
-    /// Enable or disable the data-side fast path. Disabling drops every
+    /// Enable or disable the acceleration layer. Disabling drops every
     /// armed micro-DTLB slot and cached walk so a later re-enable cannot
     /// resurrect state from a different configuration epoch.
-    pub fn set_fastpath(&mut self, on: bool) {
-        self.fastpath = on;
+    pub fn set_accel(&mut self, on: bool) {
+        self.accel = on;
         if !on {
             self.dtlb = [EMPTY_DTLB_SLOT; DTLB_SLOTS];
             self.wcache.clear();
@@ -245,9 +246,9 @@ impl Tlb {
         }
     }
 
-    /// Whether the data-side fast path is enabled.
-    pub fn fastpath(&self) -> bool {
-        self.fastpath
+    /// Whether the acceleration layer is enabled.
+    pub fn accel(&self) -> bool {
+        self.accel
     }
 
     /// Host-side fast-path savings counters.
@@ -428,7 +429,7 @@ impl Tlb {
         va: u64,
         write: bool,
     ) -> Option<u64> {
-        if !self.fastpath {
+        if !self.accel {
             return None;
         }
         let vpn = va >> 12;
@@ -469,7 +470,7 @@ impl Tlb {
         write: bool,
         pa_page: u64,
     ) {
-        if !self.fastpath {
+        if !self.accel {
             return;
         }
         let vpn = va >> 12;
@@ -510,7 +511,7 @@ impl Tlb {
         vttbr_key: u64,
         va: u64,
     ) -> Option<(u64, u64, S1Perms, Option<S2Perms>)> {
-        if !self.fastpath {
+        if !self.accel {
             return None;
         }
         let key = WalkCacheKey { root, vttbr_key, vpn: va >> 12 };
@@ -547,7 +548,7 @@ impl Tlb {
         s2: Option<S2Perms>,
         frames: &[(u64, u64)],
     ) {
-        if !self.fastpath || frames.len() > WALK_FRAMES_MAX {
+        if !self.accel || frames.len() > WALK_FRAMES_MAX {
             return;
         }
         // `nframes` is a u8: a checked conversion (rather than `as u8`)
@@ -571,8 +572,8 @@ impl Tlb {
     }
 
     /// Extract a straight-line decoded run starting at `va` into `out`
-    /// (superblock execution). Returns the backing `(pa_page,
-    /// frame_version)` the caller must revalidate between instructions.
+    /// (block compilation). Returns the backing `(pa_page,
+    /// frame_version)` the caller must revalidate between segments.
     /// Validation is identical to `fast_probe` — armed at the current
     /// generation, same flags, fresh content — just without serving a
     /// single instruction, so the caller replays hits per instruction.
@@ -586,21 +587,16 @@ impl Tlb {
         va: u64,
         s1_enabled: bool,
         wxn: bool,
-        max: usize,
         out: &mut Vec<(u32, lz_arch::insn::Insn)>,
     ) -> Option<(u64, u64)> {
-        if !self.fastpath {
-            return None;
-        }
         let gen = self.gen;
-        self.icache.superblock(mem, vmid, asid, el, va, s1_enabled, wxn, gen, max, out)
+        self.icache.superblock(mem, vmid, asid, el, va, s1_enabled, wxn, gen, out)
     }
 
-    /// Serve a compiled superblock for the fetch at `va` (see
-    /// [`crate::jit`]). Validation mirrors [`Self::superblock`]: gated on
-    /// the fast path and armed at the *current* generation, so any TLBI,
-    /// insert, or promotion since arming refuses service exactly as it
-    /// would refuse the decoded run.
+    /// Serve a compiled block for the fetch at `va` (see
+    /// [`crate::jit`]). Validation mirrors [`Self::superblock`]: armed at
+    /// the *current* generation, so any TLBI, insert, or promotion since
+    /// arming refuses service exactly as it would refuse the decoded run.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_block(
@@ -613,14 +609,12 @@ impl Tlb {
         s1_enabled: bool,
         wxn: bool,
     ) -> Option<(std::sync::Arc<crate::jit::CompiledBlock>, u64, u64)> {
-        if !self.fastpath {
-            return None;
-        }
         let gen = self.gen;
         self.icache.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, gen)
     }
 
-    /// Attach a freshly lowered block to its icache page entry.
+    /// Attach a freshly lowered block to its icache page entry and
+    /// return the shared handle (`None` if the entry is gone).
     pub(crate) fn store_jit_block(
         &mut self,
         vmid: u16,
@@ -628,13 +622,10 @@ impl Tlb {
         el: ExceptionLevel,
         va: u64,
         block: crate::jit::CompiledBlock,
-    ) {
-        if !self.fastpath {
-            return;
-        }
-        if self.icache.store_jit_block(vmid, asid, el, va, block) {
-            self.fast.jit_compiled += 1;
-        }
+    ) -> Option<std::sync::Arc<crate::jit::CompiledBlock>> {
+        let block = self.icache.store_jit_block(vmid, asid, el, va, block)?;
+        self.fast.jit_compiled += 1;
+        Some(block)
     }
 
     /// Count one compiled-block execution (host-side observability only).
@@ -643,9 +634,9 @@ impl Tlb {
         self.fast.jit_blocks += 1;
     }
 
-    /// Replay the per-instruction bookkeeping a superblock instruction
-    /// would have generated on the step path: one free L1 TLB hit and one
-    /// decoded-block cache hit.
+    /// Replay the per-instruction bookkeeping a compiled-block
+    /// instruction would have generated on the step path: one free L1
+    /// TLB hit and one decoded-block cache hit.
     #[inline]
     pub(crate) fn count_superblock_insn(&mut self) {
         self.hits += 1;
@@ -658,12 +649,6 @@ impl Tlb {
     pub(crate) fn count_superblock_insns(&mut self, n: u64) {
         self.hits += n;
         self.icache.count_hits(n);
-    }
-
-    /// Count one completed superblock (host-side observability only).
-    #[inline]
-    pub(crate) fn count_superblock_exit(&mut self) {
-        self.fast.superblock_exits += 1;
     }
 
     /// `(hits, misses)` counters since creation or [`Self::reset_stats`].
@@ -687,8 +672,8 @@ impl Tlb {
     }
 
     /// Count the walks a decoded-block replay skipped host-side but
-    /// modelled (see `walk::fetch`): the counters must be identical with
-    /// the fetch cache on or off.
+    /// modelled (see `walk::fetch`): the counters must be identical on
+    /// the accelerated and the reference engine.
     pub(crate) fn count_replayed_walk(&mut self, s1: bool, s2: bool) {
         if s1 {
             self.walk.s1_walks += 1;

@@ -1,12 +1,15 @@
-//! Host breakpoints (`Machine::break_before`) across every engine.
+//! Host breakpoints (`Machine::break_before`) and quantum ends on both
+//! engines.
 //!
-//! One EL0 program runs under the reference step loop, the fetch-cache
-//! step, fast-path superblocks and the template JIT. A breakpoint placed
-//! at a block start, in the middle of a superblock, inside an already
-//! compiled JIT block, or at a fall-through entry must stop every engine
-//! at the same `(pc, insns, cycles)`, be consumed when it fires, and
-//! leave no trace: resuming to the exit must reach exactly the state of
-//! an unbroken run, event journal included.
+//! One EL0 program runs under the reference step loop and the
+//! accelerated engine (compiled blocks). A breakpoint placed at a block
+//! start, in the middle of a block, inside an already compiled block, or
+//! at a fall-through entry must stop both engines at the same `(pc,
+//! insns, cycles)`, be consumed when it fires, and leave no trace:
+//! resuming to the exit must reach exactly the state of an unbroken run,
+//! event journal included. A second program checks that a quantum end or
+//! a breakpoint inside an ALU run holding a MADD and a UDIV stops the
+//! compiled block itself with per-instruction cycles.
 
 use lz_arch::asm::Asm;
 use lz_arch::esr::ExceptionClass;
@@ -22,18 +25,13 @@ const DATA: u64 = 0x50_0000;
 const LIMIT: u64 = 1_000_000;
 const OUTER: u64 = 6;
 const INNER: u64 = 5;
-/// Arrivals at the inner loop top after which the JIT serves the inner
-/// loop's block compiled (the first passes re-extract it while the data
-/// page's TLB entry settles).
+/// Arrivals at the inner loop top after which the accelerated engine
+/// serves the inner loop's block compiled (the first passes step and
+/// recompile it while the data page's TLB entry settles).
 const WARM: u64 = 8;
 
-/// The engines, as `(name, fetch cache, fast path, JIT)`.
-const ENGINES: [(&str, bool, bool, bool); 4] = [
-    ("reference step", false, false, false),
-    ("fetch-cache step", true, false, false),
-    ("superblock", true, true, false),
-    ("jit", true, true, true),
-];
+/// The engines, as `(name, accel)`.
+const ENGINES: [(&str, bool); 2] = [("reference", false), ("accelerated", true)];
 
 /// Addresses of interest in the test program.
 #[derive(Debug, Clone, Copy)]
@@ -92,16 +90,19 @@ fn program() -> (Asm, Marks) {
     (a, Marks { outer, inner, mid, after_inner, after_svc })
 }
 
-fn machine(engine: (&str, bool, bool, bool)) -> Machine {
-    let (_, fetch_cache, fastpath, jit) = engine;
+fn machine(engine: (&str, bool)) -> Machine {
+    machine_with(engine, program().0.bytes())
+}
+
+/// A machine on `engine` with `code` mapped at `CODE` and a data page at
+/// `DATA`, about to run `code` at EL0.
+fn machine_with(engine: (&str, bool), code: Vec<u8>) -> Machine {
     let mut m = Machine::new(Platform::CortexA55);
-    m.set_fetch_cache(fetch_cache);
-    m.set_fastpath(fastpath);
-    m.set_jit(jit);
+    m.set_accel(engine.1);
     m.set_metrics(true);
     let root = alloc_table(&mut m.mem);
     let code_pa = m.mem.alloc_frame();
-    m.mem.write_bytes(code_pa, &program().0.bytes());
+    m.mem.write_bytes(code_pa, &code);
     let code = S1Perms { read: true, write: false, user_exec: true, priv_exec: false, el0: true, global: false };
     s1_map_page(&mut m.mem, root, CODE, code_pa, code);
     let data_pa = m.mem.alloc_frame();
@@ -140,7 +141,7 @@ fn finish(m: &mut Machine) -> Final {
 
 /// Arm each `(pc, hits)` in turn and run to it; returns every stop's
 /// `(pc, insns, cycles)` and the state at the final `svc`.
-fn run_case(engine: (&str, bool, bool, bool), stops: &[(u64, u64)]) -> (Vec<(u64, u64, u64)>, Final) {
+fn run_case(engine: (&str, bool), stops: &[(u64, u64)]) -> (Vec<(u64, u64, u64)>, Final) {
     let mut m = machine(engine);
     let mut seen = Vec::new();
     for &(pc, hits) in stops {
@@ -161,10 +162,10 @@ fn cases(k: Marks) -> Vec<(&'static str, Vec<(u64, u64)>)> {
         ("block start, branch target", vec![(k.outer, 4)]),
         ("inner loop top", vec![(k.inner, 1)]),
         ("inner loop top, later pass", vec![(k.inner, 7)]),
-        ("mid-superblock", vec![(k.mid, 1)]),
-        ("mid-superblock, later pass", vec![(k.mid, 6)]),
-        ("inside a compiled JIT block", vec![(k.inner, WARM), (k.mid, 1)]),
-        ("inside a compiled JIT block, later pass", vec![(k.inner, WARM), (k.mid, 5)]),
+        ("mid-block", vec![(k.mid, 1)]),
+        ("mid-block, later pass", vec![(k.mid, 6)]),
+        ("inside a compiled block", vec![(k.inner, WARM), (k.mid, 1)]),
+        ("inside a compiled block, later pass", vec![(k.inner, WARM), (k.mid, 5)]),
         ("fall-through after b.ne", vec![(k.after_inner, 1)]),
         ("fall-through after b.ne, later pass", vec![(k.after_inner, 3)]),
         ("return point of an svc", vec![(k.after_svc, 2)]),
@@ -203,21 +204,82 @@ fn stops_count_retired_instructions_exactly() {
 
 #[test]
 fn jit_case_really_enters_compiled_blocks() {
-    // Guard the "inside a compiled JIT block" case against silently
-    // testing the interpreter only: by the first stop the JIT has run
-    // compiled blocks, and the block around `mid` was one of them.
+    // Guard the "inside a compiled block" case against silently testing
+    // the step fallback only: by the first stop the engine has run
+    // compiled blocks, and the stop at `mid` is one more compiled-block
+    // entry — the block at `inner`, clamped by the breakpoint.
     let marks = program().1;
-    let mut m = machine(ENGINES[3]);
+    let mut m = machine(ENGINES[1]);
     m.break_before(marks.inner, WARM);
     assert_eq!(drive(&mut m), Exit::Limit);
     let before = m.tlb.fast_stats().jit_blocks;
-    assert!(before > 0, "the JIT never entered a compiled block");
+    assert!(before > 0, "the engine never entered a compiled block");
     m.break_before(marks.mid, 1);
     assert_eq!(drive(&mut m), Exit::Limit);
     assert_eq!(m.cpu.pc, marks.mid);
-    // The breakpoint fell inside the compiled block at `inner`, so the
-    // engine ran the clamped interpreter superblock instead.
-    assert_eq!(m.tlb.fast_stats().jit_blocks, before);
+    assert_eq!(m.tlb.fast_stats().jit_blocks, before + 1);
+}
+
+/// A loop whose block starts with a six-op ALU run holding a MADD (op 1)
+/// and a UDIV (op 3), then a store, a one-op ALU run and the `b.ne`.
+/// Returns the code and the loop top.
+fn latency_program() -> (Vec<u8>, u64) {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(0, 12);
+    a.mov_imm64(11, DATA);
+    a.mov_imm64(20, 3);
+    let top = a.here();
+    let top_l = a.label();
+    a.bind(top_l);
+    a.add_imm(2, 2, 5);
+    a.madd(3, 2, 2, 3);
+    a.eor_reg(4, 4, 3);
+    a.udiv(5, 3, 20);
+    a.orr_reg(6, 6, 5);
+    a.add_reg(7, 7, 6);
+    a.str(7, 11, 0);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top_l);
+    a.svc(0);
+    (a.bytes(), top)
+}
+
+#[test]
+fn quantum_and_breakpoint_stop_inside_a_compiled_alu_run() {
+    let (code, top) = latency_program();
+    // Warm up to the loop top's 4th arrival (the block is compiled by
+    // then), stop `ops` instructions into the ALU run — by quantum or by
+    // breakpoint — and resume to the final `svc`.
+    let stop = |engine: (&str, bool), ops: u64, by_breakpoint: bool| {
+        let mut m = machine_with(engine, code.clone());
+        m.break_before(top, 4);
+        assert_eq!(drive(&mut m), Exit::Limit);
+        let blocks = m.tlb.fast_stats().jit_blocks;
+        if by_breakpoint {
+            m.break_before(top + 4 * ops, 1);
+            assert_eq!(drive(&mut m), Exit::Limit);
+        } else {
+            assert_eq!(m.run(ops), Exit::Limit);
+        }
+        let at = (m.cpu.pc, m.cpu.insns, m.cpu.cycles, m.journal.dump_json());
+        let entries = m.tlb.fast_stats().jit_blocks - blocks;
+        (at, entries, finish(&mut m))
+    };
+    let unbroken = finish(&mut machine_with(ENGINES[0], code.clone()));
+    // 2: after the MADD; 3: between MADD and UDIV; 4: after the UDIV;
+    // 5: one op short of the run's end.
+    for ops in 2..=5u64 {
+        for by_breakpoint in [false, true] {
+            let how = if by_breakpoint { "breakpoint" } else { "quantum" };
+            let (reference, _, ref_fin) = stop(ENGINES[0], ops, by_breakpoint);
+            let (accel, entries, fin) = stop(ENGINES[1], ops, by_breakpoint);
+            assert_eq!(reference.0, top + 4 * ops, "{how} {ops}: reference stopped at the wrong pc");
+            assert_eq!(accel, reference, "{how} {ops}: compiled block stopped elsewhere than the reference");
+            assert_eq!(entries, 1, "{how} {ops}: the stop did not come from one compiled-block entry");
+            assert_eq!(fin, ref_fin, "{how} {ops}: resumed to a different final state");
+            assert_eq!(fin, unbroken, "{how} {ops}: the stop left a trace");
+        }
+    }
 }
 
 #[test]

@@ -2,11 +2,11 @@
 # CI for the LightZone reproduction.
 #
 # Runs the format gate, the tier-1 verify (ROADMAP.md), the full
-# workspace suite with the decoded-block fetch cache both enabled and
-# disabled, with the data-side fast path disabled, with the template
-# JIT disabled, and with the metrics journal both enabled and disabled
-# (all acceleration and observation layers must be zero-cost in the
-# modelled domain), the differential suite, a `repro all` smoke pass, a
+# workspace suite on the accelerated engine (the default, which also
+# runs the differential and parallel suites), on the reference engine
+# (LZ_ACCEL=0), and with the metrics journal disabled (acceleration and
+# observation must be zero-cost in the modelled domain; the journal is
+# on by default), a `repro all` smoke pass, a
 # byte-for-byte `repro fig5` gate against scripts/golden/fig5.txt, a
 # `repro stats` JSON validation, the SMP scaling leg (schema check +
 # byte-for-byte determinism re-run, emitted as BENCH_smp_scaling.json),
@@ -14,7 +14,7 @@
 # (unified schema check + a MIPS floor on the median of 5 repetitions
 # so JIT/fast-path regressions fail loudly), the chaos soak (BENCH_chaos_soak.json: >=10k injected
 # faults, zero invariant or containment violations, byte-reproducible,
-# fast path on and off and template JIT off), the
+# and identical on the reference engine), the
 # attack-synthesis corpus gate (BENCH_attack_corpus.json: >=5 families,
 # zero escapes with defenses on, >=2 distinct shrunk exploits per
 # ablated security defense, byte-reproducible), the fleet-scale serving
@@ -43,37 +43,24 @@ cargo build --release --workspace --all-targets
 echo "== tier-1 verify: cargo test -q (root package) =="
 cargo test -q --release
 
-echo "== workspace tests, fetch cache ON (default) =="
+echo "== workspace tests, accelerated engine + metrics journal ON (default) =="
 cargo test -q --release --workspace
 
-echo "== workspace tests, fetch cache OFF =="
-LZ_FETCH_CACHE=0 cargo test -q --release --workspace
+echo "== workspace tests, reference engine (LZ_ACCEL=0) =="
+LZ_ACCEL=0 cargo test -q --release --workspace
 
-echo "== workspace tests, data-side fast path OFF =="
-LZ_FASTPATH=0 cargo test -q --release --workspace
-
-echo "== workspace tests, template JIT OFF =="
-LZ_JIT=0 cargo test -q --release --workspace
-
-echo "== workspace tests, metrics journal ON =="
-LZ_METRICS=1 cargo test -q --release --workspace
-
-echo "== workspace tests, metrics journal OFF (explicit) =="
+echo "== workspace tests, metrics journal OFF =="
 LZ_METRICS=0 cargo test -q --release --workspace
 
 echo "== workspace tests, deterministic replay (LZ_PARALLEL=0) =="
 LZ_PARALLEL=0 cargo test -q --release --workspace
 
-echo "== differential suite (cache on vs off, explicit) =="
-cargo test -q --release --test differential
-
-echo "== parallel equivalence suite (release + debug-assertion smoke) =="
-# Release: the proptest sweep byte-compares host-threaded runs against
-# sequential replay. Debug: the same suite with debug assertions on is
+echo "== parallel equivalence suite, debug-assertion smoke =="
+# The release leg above already byte-compares host-threaded runs
+# against sequential replay. The same suite with debug assertions on is
 # the in-tree stand-in for a TSan leg — the shells share nothing
 # mutable, so a data race surfaces as cross-backend divergence or a
 # debug assert, not a silent corruption.
-cargo test -q --release --test parallel
 cargo test -q --test parallel
 
 echo "== repro all (smoke mode, non---full) =="
@@ -179,8 +166,8 @@ assert report["benchmark"] == "sim_throughput"
 assert report["cycles_match"] is True, "acceleration layer changed modelled cycles"
 assert report["cycles_cache_on"] == report["cycles_cache_off"]
 assert report["cycles_mem_on"] == report["cycles_mem_off"]
-# The report must record which engine produced the numbers, so the
-# bench trajectory can tell the template JIT from plain superblocks.
+# The report must record the process engine default (LZ_ACCEL), so the
+# bench trajectory can tell which engine the run defaulted to.
 assert isinstance(report["jit"], bool), "jit field missing or not a bool"
 # Throughput floor: the template JIT must keep the ALU hot loop above
 # 120 MIPS on this class of host (measured ~240); a regression below
@@ -197,21 +184,16 @@ print(f"sim_throughput JSON ok: median {mips:.2f} MIPS on (min {lo:.2f}, max {hi
 '
 cat BENCH_sim_throughput.json
 
-echo "== repro chaos -> BENCH_chaos_soak.json (soak + determinism + fastpath) =="
+echo "== repro chaos -> BENCH_chaos_soak.json (soak + determinism + reference engine) =="
 ./target/release/repro chaos --json > BENCH_chaos_soak.json
 ./target/release/repro chaos --json > /tmp/chaos_rerun.json
 cmp BENCH_chaos_soak.json /tmp/chaos_rerun.json || {
     echo "chaos soak is not byte-reproducible" >&2
     exit 1
 }
-LZ_FASTPATH=0 ./target/release/repro chaos --json > /tmp/chaos_slowpath.json
-cmp BENCH_chaos_soak.json /tmp/chaos_slowpath.json || {
-    echo "chaos soak diverges with the data-side fast path off" >&2
-    exit 1
-}
-LZ_JIT=0 ./target/release/repro chaos --json > /tmp/chaos_nojit.json
-cmp BENCH_chaos_soak.json /tmp/chaos_nojit.json || {
-    echo "chaos soak diverges with the template JIT off" >&2
+LZ_ACCEL=0 ./target/release/repro chaos --json > /tmp/chaos_reference.json
+cmp BENCH_chaos_soak.json /tmp/chaos_reference.json || {
+    echo "chaos soak diverges on the reference engine (LZ_ACCEL=0)" >&2
     exit 1
 }
 python3 -c '

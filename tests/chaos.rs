@@ -13,6 +13,18 @@
 use lz_chaos::{run_scenario, run_soak, shrink_plan, verify_plan, Scenario, ALL_SCENARIOS};
 use lz_machine::{FaultPlan, FaultSite, ALL_SITES};
 use proptest::prelude::*;
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// Serialises the process-global engine default: the test that flips it
+/// holds the write side, every other test here (they all build machines
+/// from it) holds the read side, so none silently runs on whichever
+/// engine happens to be live. The lock guards no data, so a guard
+/// poisoned by a failing test is taken over as is.
+static ENGINE_DEFAULT: RwLock<()> = RwLock::new(());
+
+fn engine_default() -> RwLockReadGuard<'static, ()> {
+    ENGINE_DEFAULT.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Report a failing plan with its shrunk schedule, or pass.
 fn assert_contained(scenario: Scenario, seed: u64, plan: &FaultPlan) -> Result<(), TestCaseError> {
@@ -42,6 +54,7 @@ fn assert_contained(scenario: Scenario, seed: u64, plan: &FaultPlan) -> Result<(
 /// this keeps a smaller always-on floor in the test suite.)
 #[test]
 fn fixed_seed_soak_is_contained() {
+    let _engine = engine_default();
     let report = run_soak(0x1297_5EED, 8, 2_000, 400);
     assert!(report.ok(), "soak problems:\n{}", report.problems.join("\n"));
     assert!(
@@ -60,6 +73,7 @@ fn fixed_seed_soak_is_contained() {
 /// metrics journal, for every scenario.
 #[test]
 fn chaos_runs_are_deterministic() {
+    let _engine = engine_default();
     for (i, &scenario) in ALL_SCENARIOS.iter().enumerate() {
         let seed = 0xD00D + i as u64;
         let plan = FaultPlan::new(seed ^ 0xFACE).with_rate(6);
@@ -81,6 +95,7 @@ fn chaos_runs_are_deterministic() {
 /// the property the shrinker is built on.
 #[test]
 fn replay_of_full_schedule_reproduces_run() {
+    let _engine = engine_default();
     for (i, &scenario) in ALL_SCENARIOS.iter().enumerate() {
         let seed = 0xBEEF + i as u64;
         let plan = FaultPlan::new(seed).with_rate(5);
@@ -99,39 +114,42 @@ fn replay_of_full_schedule_reproduces_run() {
 /// A passing plan has nothing to shrink.
 #[test]
 fn shrink_rejects_passing_plan() {
+    let _engine = engine_default();
     let plan = FaultPlan::new(77).with_rate(8);
     assert!(shrink_plan(Scenario::Randomized, 9, &plan).is_none());
 }
 
-/// The interpreter fast paths must not change what a fault plan does:
-/// same seed, same plan, fast path forced on vs off ⇒ identical
-/// digest, schedule, and journal. (Chaos consultations happen only at
-/// modelled events, which the fast paths preserve exactly.)
+/// The accelerated engine must not change what a fault plan does: same
+/// seed, same plan, accelerated vs reference engine ⇒ identical digest,
+/// schedule, and journal. (Chaos consultations happen only at modelled
+/// events, which the acceleration layer preserves exactly.)
 #[test]
 fn fastpath_on_off_agree_under_chaos() {
-    use lz_machine::{default_fastpath, set_default_fastpath};
-    let saved = default_fastpath();
+    use lz_machine::{default_accel, set_default_accel};
+    let _guard = ENGINE_DEFAULT.write().unwrap_or_else(|e| e.into_inner());
+    let saved = default_accel();
     let run_both = |scenario: Scenario, seed: u64| {
         let plan = FaultPlan::new(seed ^ 0xF00D).with_rate(6);
-        set_default_fastpath(true);
+        set_default_accel(true);
         let on = run_scenario(scenario, seed, Some(&plan));
-        set_default_fastpath(false);
+        set_default_accel(false);
         let off = run_scenario(scenario, seed, Some(&plan));
-        assert_eq!(on.digest, off.digest, "{}: fastpath changed the digest", scenario.name());
-        assert_eq!(on.fired, off.fired, "{}: fastpath changed the fault schedule", scenario.name());
-        assert_eq!(on.journal_json, off.journal_json, "{}: fastpath changed the journal", scenario.name());
+        assert_eq!(on.digest, off.digest, "{}: acceleration changed the digest", scenario.name());
+        assert_eq!(on.fired, off.fired, "{}: acceleration changed the fault schedule", scenario.name());
+        assert_eq!(on.journal_json, off.journal_json, "{}: acceleration changed the journal", scenario.name());
         assert!(on.violations.is_empty() && off.violations.is_empty());
     };
     for (i, &scenario) in ALL_SCENARIOS.iter().enumerate() {
         run_both(scenario, 0xFA57 + i as u64);
     }
-    set_default_fastpath(saved);
+    set_default_accel(saved);
 }
 
 /// Single-site sweeps: each site, alone, at an aggressive rate, must be
 /// contained on the scenario that exercises it.
 #[test]
 fn single_site_sweeps_are_contained() {
+    let _engine = engine_default();
     let cases: &[(FaultSite, Scenario)] = &[
         (FaultSite::PtwBitFlip, Scenario::DomainSwitching),
         (FaultSite::S2WalkAbort, Scenario::DomainSwitching),
@@ -166,6 +184,7 @@ proptest! {
         rate in 2u64..24,
         site_mask in 1u32..1024,
     ) {
+        let _engine = engine_default();
         let scenario = ALL_SCENARIOS[scenario_idx];
         let sites: Vec<FaultSite> = ALL_SITES
             .iter()

@@ -1,33 +1,29 @@
-//! Differential testing of the decoded-block fetch cache.
+//! Differential testing of the accelerated engine against the reference
+//! engine (`Machine::set_accel`).
 //!
-//! Every test here builds two identical machines, enables the fetch cache
-//! on one and disables it on the other, drives both through the same
-//! program and the same host-side operations, and asserts the complete
-//! observable state is identical: exit reason, registers, PC, cycle and
-//! instruction counts, TLB statistics, and the retired-instruction trace.
-//! The cache is allowed to skip host-side work only — any divergence is
-//! a coherence or accounting bug.
+//! Every test here builds two identical machines, one on the accelerated
+//! engine (decoded-block fetch cache, micro-DTLB, stage-1/stage-2 walk
+//! cache and template-JIT compiled blocks; DESIGN.md §7, §10, §13) and
+//! one on the reference engine (uncached fetch, one `step()` per
+//! instruction), drives both through the same program and the same
+//! host-side operations, and asserts the complete observable state is
+//! identical: exit reason, registers, PC, cycle and instruction counts,
+//! TLB statistics, the retired-instruction trace and, where enabled, the
+//! metric journal. The acceleration layer is allowed to skip host-side
+//! work only — any divergence is a coherence or accounting bug.
 //!
 //! Coverage: seeded random programs (ALU, loads/stores, forward branches,
 //! trap-and-resume via `svc`, self-modifying stores into an executed-twice
-//! patch area), plus deterministic scenarios for break-before-make code
-//! remapping, physical code patching without TLBI, and TTBR/ASID domain
-//! switching over global and non-global pages.
-//!
-//! The same harness also differentials the *data-side fast path*
-//! (micro-DTLB + superblock execution + stage-1/stage-2 walk cache,
-//! DESIGN.md §10): every scenario runs fastpath-on vs fastpath-off with
-//! the fetch cache held on, asserting byte-identical cycles, exits,
-//! snapshots, and metric journals.
-//!
-//! A third sweep differentials the *template-JIT superblock engine*
-//! (DESIGN.md §13): jit-on vs jit-off (both atop the full fast path)
-//! and vs the slow path, over the random-program families, domain
-//! switching, SMP quantum interleaving, and break-before-make /
-//! cross-core code-flip penetration scenarios.
+//! patch area), run whole and in small quantum slices that stop compiled
+//! blocks mid-run, plus deterministic scenarios for break-before-make
+//! code remapping, physical code patching without TLBI, TTBR/ASID domain
+//! switching over global and non-global pages, spurious TLBIs, SMP
+//! quantum interleaving and cross-core code flips. Each accelerated side
+//! asserts its layers really engaged (`jit_blocks`, `dtlb_hits`,
+//! `walkcache_hits`).
 
 use lz_arch::asm::Asm;
-use lz_arch::esr::ExceptionClass;
+use lz_arch::esr::{self, ExceptionClass};
 use lz_arch::insn::Insn;
 use lz_arch::pstate::PState;
 use lz_arch::sysreg::{hcr, sctlr, ttbr, SysReg};
@@ -44,7 +40,7 @@ use lz_chaos::programs::{
 };
 
 fn assert_identical(on: Snapshot, off: Snapshot, ctx: &str) {
-    assert_eq!(on, off, "cache-on and cache-off runs diverged ({ctx})");
+    assert_eq!(on, off, "accelerated and reference runs diverged ({ctx})");
 }
 
 fn differential_run(seed: u64) {
@@ -58,8 +54,8 @@ fn differential_run(seed: u64) {
         snapshot(&off, exit_off, res_off),
         &format!("random program, seed {seed}"),
     );
-    // The cache must actually have been exercised, or this test proves
-    // nothing: the patch area alone is fetched twice.
+    // The fetch cache must actually have been exercised, or this test
+    // proves nothing: the patch area alone is fetched twice.
     let (hits, _) = on.tlb.icache().stats();
     assert!(hits > 0, "seed {seed}: fetch cache never hit");
 }
@@ -71,16 +67,13 @@ fn random_programs_agree() {
     }
 }
 
-/// Build the fastpath-on/fastpath-off machine pair for one program:
-/// fetch cache held ON on both sides (superblocks need it; the cache
-/// itself has its own differential above), metrics journal enabled so
-/// journal equality is part of the assertion.
-fn build_fastpath_pair(code: &[u8], patch: &[u8]) -> (Machine, Machine) {
+/// Build the accelerated/reference machine pair for one program, with
+/// the metrics journal enabled so journal equality is part of the
+/// assertion.
+fn build_engine_pair(code: &[u8], patch: &[u8]) -> (Machine, Machine) {
     let mut on = build_machine(code, patch, true);
-    on.set_fastpath(true);
     on.set_metrics(true);
-    let mut off = build_machine(code, patch, true);
-    off.set_fastpath(false);
+    let mut off = build_machine(code, patch, false);
     off.set_metrics(true);
     (on, off)
 }
@@ -89,15 +82,16 @@ fn assert_journals_identical(on: &Machine, off: &Machine, ctx: &str) {
     assert_eq!(on.journal.dump_json(), off.journal.dump_json(), "metric journals diverged ({ctx})");
 }
 
-/// Fastpath differential over the same randomized, self-modifying,
-/// trap-and-resume program generator the fetch-cache suite uses.
+/// Journal-level differential over the same randomized, self-modifying,
+/// trap-and-resume program generator.
 #[test]
 fn fastpath_random_programs_agree() {
     let mut dtlb_hits = 0u64;
-    let mut superblock_exits = 0u64;
+    let mut jit_blocks = 0u64;
+    let mut jit_compiled = 0u64;
     for seed in 0..16u64 {
         let (code, patch) = random_program(seed, 400, 64);
-        let (mut on, mut off) = build_fastpath_pair(&code, &patch);
+        let (mut on, mut off) = build_engine_pair(&code, &patch);
         let (e_on, r_on) = run_to_completion(&mut on);
         let (e_off, r_off) = run_to_completion(&mut off);
         assert_identical(
@@ -108,18 +102,20 @@ fn fastpath_random_programs_agree() {
         assert_journals_identical(&on, &off, &format!("fastpath random program, seed {seed}"));
         let fast = on.tlb.fast_stats();
         dtlb_hits += fast.dtlb_hits;
-        superblock_exits += fast.superblock_exits;
+        jit_blocks += fast.jit_blocks;
+        jit_compiled += fast.jit_compiled;
         let fast_off = off.tlb.fast_stats();
-        assert_eq!(fast_off, Default::default(), "seed {seed}: disabled fast path recorded activity");
+        assert_eq!(fast_off, Default::default(), "seed {seed}: reference engine recorded acceleration activity");
     }
-    // The comparison proves nothing unless the fast path actually ran.
+    // The comparison proves nothing unless the accelerated engine ran.
     assert!(dtlb_hits > 0, "micro-DTLB never hit across any seed");
-    assert!(superblock_exits > 0, "superblock execution never engaged across any seed");
+    assert!(jit_compiled > 0, "the template JIT never compiled a block across any seed");
+    assert!(jit_blocks > 0, "no compiled block ever executed across any seed");
 }
 
-/// Fastpath differential over TTBR/ASID domain switching: two address
-/// spaces, different code at the same VA, a shared global data page.
-/// The micro-DTLB's vmid/asid/el/pan tags must keep armed entries from
+/// Differential over TTBR/ASID domain switching: two address spaces,
+/// different code at the same VA, a shared global data page. The
+/// micro-DTLB's vmid/asid/el/pan tags must keep armed entries from
 /// leaking across domains.
 #[test]
 fn fastpath_domain_switch_agrees() {
@@ -140,10 +136,9 @@ fn fastpath_domain_switch_agrees() {
         a.bytes()
     };
     let global_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: true };
-    let run = |fastpath: bool| {
+    let run = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(fastpath);
+        m.set_accel(accel);
         m.trace.set_enabled(true);
         let shared = m.mem.alloc_frame();
         let mut roots = [0u64; 2];
@@ -174,7 +169,7 @@ fn fastpath_domain_switch_agrees() {
     };
     let (snap_on, counter_on, fast) = run(true);
     let (snap_off, counter_off, _) = run(false);
-    assert_identical(snap_on, snap_off, "fastpath domain switch");
+    assert_identical(snap_on, snap_off, "data-side domain switch");
     // 9 rounds alternating: 5 × tag 1, 4 × tag 1000.
     assert_eq!(counter_on, 5 * 1 + 4 * 1000, "shared counter must accumulate across domains");
     assert_eq!(counter_on, counter_off);
@@ -208,7 +203,7 @@ fn fastpath_walk_cache_survives_spurious_tlbi() {
         }
         last
     };
-    let (mut on, mut off) = build_fastpath_pair(&code, &patch);
+    let (mut on, mut off) = build_engine_pair(&code, &patch);
     let e_on = drive(&mut on);
     let e_off = drive(&mut off);
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "spurious TLBI");
@@ -216,16 +211,16 @@ fn fastpath_walk_cache_survives_spurious_tlbi() {
 }
 
 /// Single-core penetration test (mirrors the cross-core one in
-/// `tests/smp.rs`): a JIT page covered by a *hot superblock* and an
+/// `tests/smp.rs`): a JIT page covered by a *hot compiled block* and an
 /// *armed micro-DTLB entry* is remapped via break-before-make. Neither
-/// the stale decoded block nor the stale data translation may survive —
+/// the stale compiled block nor the stale data translation may survive —
 /// re-entry must execute and load the fresh frame's bytes, identically
-/// with the fast path on or off.
+/// on both engines.
 #[test]
 fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
     // The JIT stub at PATCH both executes and is read as data: it arms
-    // an instruction-side superblock and a data-side DTLB entry for the
-    // same page. x21 = PATCH (set by build_machine's caller below).
+    // an instruction-side compiled block and a data-side DTLB entry for
+    // the same page. x21 = PATCH (set by the warm-up code below).
     let stub = |marker: u16| {
         let mut a = Asm::new(PATCH);
         a.movz(17, marker, 0);
@@ -245,7 +240,7 @@ fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
     warm.b_ne(top);
     warm.svc(0);
     let run = |m: &mut Machine| {
-        // Phase 1: heat the superblock + DTLB entry over the stub page.
+        // Phase 1: heat the compiled block + DTLB entry over the stub page.
         let (exit, _) = run_to_completion(m);
         assert_eq!(exit, Exit::El2(ExceptionClass::Svc));
         assert_eq!(m.cpu.reg(17), 0x1111);
@@ -263,18 +258,20 @@ fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
         (m.cpu.reg(17), m.cpu.reg(18))
     };
     let code = warm.bytes();
-    let (mut on, mut off) = build_fastpath_pair(&code, &stub(0x1111));
+    let (mut on, mut off) = build_engine_pair(&code, &stub(0x1111));
     let (x17_on, x18_on) = run(&mut on);
     let (x17_off, x18_off) = run(&mut off);
     let fresh_word = first_dword(&stub(0x2222));
-    assert_eq!(x17_on, 0x2222, "stale superblock executed old code (fastpath on)");
-    assert_eq!(x18_on, fresh_word, "stale micro-DTLB entry served old data (fastpath on)");
-    assert_eq!((x17_on, x18_on), (x17_off, x18_off), "fastpath changed BBM outcome");
+    assert_eq!(x17_on, 0x2222, "stale compiled block executed old code");
+    assert_eq!(x18_on, fresh_word, "stale micro-DTLB entry served old data");
+    assert_eq!((x17_on, x18_on), (x17_off, x18_off), "acceleration changed BBM outcome");
     assert_eq!(
         (on.cpu.cycles, on.cpu.insns, on.tlb.stats()),
         (off.cpu.cycles, off.cpu.insns, off.tlb.stats()),
-        "fastpath changed BBM accounting"
+        "acceleration changed BBM accounting"
     );
+    assert_journals_identical(&on, &off, "BBM remap");
+    assert!(on.tlb.fast_stats().jit_blocks > 0, "warm-up never executed a compiled block");
 }
 
 #[test]
@@ -332,7 +329,7 @@ fn break_before_make_remap_agrees() {
     let mut off = build_machine(&body(111), &patch_area(4), false);
     let e_on = run_pair(&mut on);
     let e_off = run_pair(&mut off);
-    assert_eq!(on.cpu.reg(0), 222, "remapped code must execute (cache on)");
+    assert_eq!(on.cpu.reg(0), 222, "remapped code must execute (accelerated)");
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "break-before-make");
 }
 
@@ -362,7 +359,7 @@ fn physical_code_patch_agrees() {
     let mut off = build_machine(&code, &patch_area(4), false);
     let e_on = run_pair(&mut on);
     let e_off = run_pair(&mut off);
-    assert_eq!(on.cpu.reg(1), 9, "patched word must be fetched fresh (cache on)");
+    assert_eq!(on.cpu.reg(1), 9, "patched word must be fetched fresh (accelerated)");
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "physical patch");
 }
 
@@ -383,9 +380,9 @@ fn ttbr_domain_switch_agrees() {
         a.bytes()
     };
     let global_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: true };
-    let build = |cache_on: bool| {
+    let build = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(cache_on);
+        m.set_accel(accel);
         let shared = m.mem.alloc_frame();
         let mut roots = [0u64; 2];
         for (i, tag) in [1u64, 1000].iter().enumerate() {
@@ -432,12 +429,12 @@ fn ttbr_domain_switch_agrees() {
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "domain switch");
 }
 
-/// The full LightZone stack (gate, kernel, traps) under both settings:
-/// a guest syscall loop must produce identical cycle counts.
+/// The full LightZone stack (gate, kernel, traps) on both engines: a
+/// host-deployment syscall loop must produce identical cycle counts.
 #[test]
 fn lightzone_syscall_loop_agrees() {
     use lightzone::api::{LzAsm, LzProgramBuilder, SAN_TTBR};
-    let run = |cache_on: bool| {
+    let run = |accel: bool| {
         let mut b = LzProgramBuilder::new(CODE);
         b.asm.lz_enter(true, SAN_TTBR);
         b.asm.mov_imm64(23, 200);
@@ -450,7 +447,7 @@ fn lightzone_syscall_loop_agrees() {
         b.asm.exit_imm(0);
         let prog = b.build();
         let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
-        lz.kernel.machine.set_fetch_cache(cache_on);
+        lz.kernel.machine.set_accel(accel);
         let pid = lz.spawn(&prog);
         lz.enter_process(pid);
         assert_eq!(lz.run(400_000_000), lz_kernel::Event::Exited(0));
@@ -459,12 +456,13 @@ fn lightzone_syscall_loop_agrees() {
     assert_eq!(run(true), run(false), "LightZone syscall loop diverged");
 }
 
-/// The full LightZone stack with the data-side fast path on vs off:
+/// The same loop in the guest deployment (stage-2 walks under the
+/// Lowvisor, so the walk cache sees nested walks) on both engines:
 /// identical cycles, instructions, and metric journals.
 #[test]
 fn lightzone_fastpath_on_off_agrees() {
     use lightzone::api::{LzAsm, LzProgramBuilder, SAN_TTBR};
-    let run = |fastpath: bool| {
+    let run = |accel: bool| {
         let mut b = LzProgramBuilder::new(CODE);
         b.asm.lz_enter(true, SAN_TTBR);
         b.asm.mov_imm64(23, 200);
@@ -476,24 +474,23 @@ fn lightzone_fastpath_on_off_agrees() {
         b.asm.b_ne(top);
         b.asm.exit_imm(0);
         let prog = b.build();
-        let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
-        lz.kernel.machine.set_fetch_cache(true);
-        lz.kernel.machine.set_fastpath(fastpath);
+        let mut lz = lightzone::LightZone::new_guest(Platform::CortexA55);
+        lz.kernel.machine.set_accel(accel);
         lz.kernel.machine.set_metrics(true);
         let pid = lz.spawn(&prog);
         lz.enter_process(pid);
         assert_eq!(lz.run(400_000_000), lz_kernel::Event::Exited(0));
         (lz.kernel.machine.cpu.cycles, lz.kernel.machine.cpu.insns, lz.kernel.machine.journal.dump_json())
     };
-    assert_eq!(run(true), run(false), "LightZone run diverged under the data-side fast path");
+    assert_eq!(run(true), run(false), "guest LightZone run diverged under acceleration");
 }
 
 /// Regression test for the unconditional [`Machine::walk_config`] memo:
 /// every way the translation regime can change — a host-side
 /// `set_sysreg`, an interpreted EL1 `MSR TTBR0_EL1`, an `ERET`, and a
 /// `switch_core` — must invalidate the memo, so a stale configuration
-/// can never serve a translation. Runs with the fetch cache *and* the
-/// fast path off: the memo is the only cache in play.
+/// can never serve a translation. Runs on the reference engine: the
+/// memo is the only cache in play.
 #[test]
 fn walk_config_memo_never_stale() {
     // Read-only: EL0-*writable* pages are never privileged-executable
@@ -501,8 +498,7 @@ fn walk_config_memo_never_stale() {
     let exec_rw = S1Perms { read: true, write: false, user_exec: true, priv_exec: true, el0: true, global: false };
     let data_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
     let mut m = Machine::new(Platform::CortexA55);
-    m.set_fetch_cache(false);
-    m.set_fastpath(false);
+    m.set_accel(false);
 
     // EL0 probe at CODE: load the data page, exit. EL1 probe at
     // CODE+0x100: interpreted MSR domain switch, load, ERET to EL0.
@@ -638,70 +634,54 @@ fn lightzone_metrics_on_off_agree_and_violations_match() {
 }
 
 // ---------------------------------------------------------------------
-// Template-JIT superblock engine (DESIGN.md §13)
+// Compiled blocks under quantum clamps (DESIGN.md §13)
 // ---------------------------------------------------------------------
 
-/// Build the jit-on/jit-off machine pair: fetch cache and data-side
-/// fast path held ON on both sides (the JIT only compiles what the
-/// superblock extractor produces, and both layers have their own
-/// differentials above), metrics journal enabled so journal equality is
-/// part of the assertion.
-fn build_jit_pair(code: &[u8], patch: &[u8]) -> (Machine, Machine) {
-    let mut on = build_machine(code, patch, true);
-    on.set_fastpath(true);
-    on.set_jit(true);
-    on.set_metrics(true);
-    let mut off = build_machine(code, patch, true);
-    off.set_fastpath(true);
-    off.set_jit(false);
-    off.set_metrics(true);
-    (on, off)
+/// `run_to_completion` in slices of `quantum` instructions, resuming
+/// after every `Exit::Limit`: on the accelerated engine most slices end
+/// inside a compiled block, so the block must stop exactly where the
+/// reference stepper does.
+fn run_sliced(m: &mut Machine, quantum: u64) -> (Exit, u32) {
+    let mut resumes = 0u32;
+    loop {
+        match m.run(quantum) {
+            Exit::Limit => continue,
+            Exit::El2(ExceptionClass::Svc) if esr::esr_imm(m.sysreg(SysReg::ESR_EL2)) != 0 => {
+                resumes += 1;
+                let elr = m.sysreg(SysReg::ELR_EL2);
+                m.enter(PState::user(), elr);
+            }
+            exit => return (exit, resumes),
+        }
+    }
 }
 
-/// Three-way differential over the randomized, self-modifying,
-/// trap-and-resume program generator: the template JIT vs the
-/// interpreter superblock engine vs the full slow path (no fetch cache,
-/// no fast path) must produce byte-identical snapshots and journals.
+/// The random-program families of [`fastpath_random_programs_agree`],
+/// same seeds, run in small quantum slices (coprime quanta, so the stop
+/// lands at every offset of ALU runs and `Slow` segments): identical
+/// snapshots and journals on both engines, with compiled blocks served
+/// rather than bypassed.
 #[test]
 fn jit_random_programs_agree() {
     let mut jit_blocks = 0u64;
-    let mut jit_compiled = 0u64;
     for seed in 0..16u64 {
+        let quantum = [3u64, 5, 7, 11][seed as usize % 4];
         let (code, patch) = random_program(seed, 400, 64);
-        let (mut on, mut off) = build_jit_pair(&code, &patch);
-        let mut slow = build_machine(&code, &patch, false);
-        slow.set_fastpath(false);
-        slow.set_metrics(true);
-        let (e_on, r_on) = run_to_completion(&mut on);
-        let (e_off, r_off) = run_to_completion(&mut off);
-        let (e_slow, r_slow) = run_to_completion(&mut slow);
-        assert_identical(
-            snapshot(&on, e_on, r_on),
-            snapshot(&off, e_off, r_off),
-            &format!("jit vs interpreter superblocks, seed {seed}"),
-        );
-        assert_identical(
-            snapshot(&on, e_on, r_on),
-            snapshot(&slow, e_slow, r_slow),
-            &format!("jit vs slow path, seed {seed}"),
-        );
-        assert_journals_identical(&on, &off, &format!("jit vs interpreter superblocks, seed {seed}"));
-        assert_journals_identical(&on, &slow, &format!("jit vs slow path, seed {seed}"));
-        let fast = on.tlb.fast_stats();
-        jit_blocks += fast.jit_blocks;
-        jit_compiled += fast.jit_compiled;
-        let fast_off = off.tlb.fast_stats();
-        assert_eq!((fast_off.jit_blocks, fast_off.jit_compiled), (0, 0), "seed {seed}: disabled JIT recorded activity");
+        let (mut on, mut off) = build_engine_pair(&code, &patch);
+        let (e_on, r_on) = run_sliced(&mut on, quantum);
+        let (e_off, r_off) = run_sliced(&mut off, quantum);
+        let ctx = format!("random program in {quantum}-instruction slices, seed {seed}");
+        assert_identical(snapshot(&on, e_on, r_on), snapshot(&off, e_off, r_off), &ctx);
+        assert_journals_identical(&on, &off, &ctx);
+        jit_blocks += on.tlb.fast_stats().jit_blocks;
     }
-    // The comparison proves nothing unless compiled blocks actually ran.
-    assert!(jit_compiled > 0, "the template JIT never compiled a block across any seed");
     assert!(jit_blocks > 0, "no compiled block ever executed across any seed");
 }
 
-/// JIT differential over TTBR/ASID domain switching: compiled blocks
-/// are keyed by the same `(vmid, asid, el, page)` tags as decoded
-/// superblocks, so switching domains must never serve a block compiled
-/// for the other address space.
+/// Differential over TTBR/ASID domain switching with ALU-heavy bodies:
+/// compiled blocks are keyed by the same `(vmid, asid, el, page)` tags
+/// as decoded slots, so switching domains must never serve a block
+/// compiled for the other address space.
 #[test]
 fn jit_domain_switch_agrees() {
     let body = |tag: u64| {
@@ -717,11 +697,9 @@ fn jit_domain_switch_agrees() {
         a.bytes()
     };
     let global_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: true };
-    let run = |jit: bool| {
+    let run = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(true);
-        m.set_jit(jit);
+        m.set_accel(accel);
         m.trace.set_enabled(true);
         let shared = m.mem.alloc_frame();
         let mut roots = [0u64; 2];
@@ -752,75 +730,18 @@ fn jit_domain_switch_agrees() {
     };
     let (snap_on, counter_on, fast) = run(true);
     let (snap_off, counter_off, fast_off) = run(false);
-    assert_identical(snap_on, snap_off, "jit domain switch");
+    assert_identical(snap_on, snap_off, "compiled-block domain switch");
     assert_eq!(counter_on, 5 * 1 + 4 * 1000, "shared counter must accumulate across domains");
     assert_eq!(counter_on, counter_off);
     assert!(fast.jit_blocks > 0, "domain-switch rounds never executed a compiled block");
-    assert_eq!(fast_off.jit_blocks, 0, "disabled JIT executed a compiled block");
-}
-
-/// The break-before-make scenario from
-/// [`fastpath_bbm_with_hot_superblock_and_dtlb_agrees`], with the
-/// template JIT as the swept polarity: a *compiled* block over the
-/// remapped page must die with the decoded superblock it shadows —
-/// re-entry executes the fresh frame's bytes, identically with the JIT
-/// on or off.
-#[test]
-fn jit_bbm_with_hot_compiled_block_agrees() {
-    let stub = |marker: u16| {
-        let mut a = Asm::new(PATCH);
-        a.movz(17, marker, 0);
-        a.ldr(18, 21, 0);
-        a.ret();
-        a.bytes()
-    };
-    let first_dword = |bytes: &[u8]| u64::from_le_bytes(bytes[..8].try_into().unwrap());
-    let mut warm = Asm::new(CODE);
-    warm.mov_imm64(21, PATCH);
-    warm.mov_imm64(10, PATCH);
-    warm.mov_imm64(11, 8);
-    let top = warm.label();
-    warm.bind(top);
-    warm.blr(10);
-    warm.subs_imm(11, 11, 1);
-    warm.b_ne(top);
-    warm.svc(0);
-    let run = |m: &mut Machine| {
-        let (exit, _) = run_to_completion(m);
-        assert_eq!(exit, Exit::El2(ExceptionClass::Svc));
-        assert_eq!(m.cpu.reg(17), 0x1111);
-        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
-        s1_unmap(&mut m.mem, root, PATCH);
-        m.tlb.invalidate_va(0, PATCH);
-        let fresh = m.mem.alloc_frame();
-        m.mem.write_bytes(fresh, &stub(0x2222));
-        s1_map_page(&mut m.mem, root, PATCH, fresh, user_rwx());
-        m.cpu.x[30] = 0;
-        m.enter(PState::user(), PATCH);
-        let _ = m.run(8);
-        (m.cpu.reg(17), m.cpu.reg(18))
-    };
-    let code = warm.bytes();
-    let (mut on, mut off) = build_jit_pair(&code, &stub(0x1111));
-    let (x17_on, x18_on) = run(&mut on);
-    let (x17_off, x18_off) = run(&mut off);
-    let fresh_word = first_dword(&stub(0x2222));
-    assert_eq!(x17_on, 0x2222, "stale compiled block executed old code (jit on)");
-    assert_eq!(x18_on, fresh_word, "stale micro-DTLB entry served old data (jit on)");
-    assert_eq!((x17_on, x18_on), (x17_off, x18_off), "JIT changed BBM outcome");
-    assert_eq!(
-        (on.cpu.cycles, on.cpu.insns, on.tlb.stats()),
-        (off.cpu.cycles, off.cpu.insns, off.tlb.stats()),
-        "JIT changed BBM accounting"
-    );
-    assert!(on.tlb.fast_stats().jit_blocks > 0, "warm-up never executed a compiled block");
+    assert_eq!(fast_off.jit_blocks, 0, "reference engine executed a compiled block");
 }
 
 /// Cross-core code-byte flip on a bare SMP machine: core 0 compiles a
 /// hot block over its code page, core 1 patches the code *frame*
 /// physically (no TLBI, no IPI — the frame-version check is the only
 /// defence), and core 0 re-enters. The stale compiled block must not
-/// serve, identically with the JIT on or off.
+/// serve, identically on both engines.
 #[test]
 fn jit_cross_core_code_flip_agrees() {
     let body = |tag: u16| {
@@ -830,11 +751,9 @@ fn jit_cross_core_code_flip_agrees() {
         a.svc(0);
         a.bytes()
     };
-    let run = |jit: bool| {
+    let run = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(true);
-        m.set_jit(jit);
+        m.set_accel(accel);
         m.trace.set_enabled(true);
         let root = alloc_table(&mut m.mem);
         let code_pa = m.mem.alloc_frame();
@@ -861,25 +780,21 @@ fn jit_cross_core_code_flip_agrees() {
     };
     let (x17_on, cy_on, in_on, blocks_on) = run(true);
     let (x17_off, cy_off, in_off, blocks_off) = run(false);
-    assert_eq!(x17_on, 0x2222, "stale compiled block survived a cross-core code flip (jit on)");
-    assert_eq!((x17_on, cy_on, in_on), (x17_off, cy_off, in_off), "JIT changed the cross-core flip outcome");
+    assert_eq!(x17_on, 0x2222, "stale compiled block survived a cross-core code flip");
+    assert_eq!((x17_on, cy_on, in_on), (x17_off, cy_off, in_off), "acceleration changed the cross-core flip outcome");
     assert!(blocks_on > 0, "warm-up never executed a compiled block");
-    assert_eq!(blocks_off, 0, "disabled JIT executed a compiled block");
+    assert_eq!(blocks_off, 0, "reference engine executed a compiled block");
 }
 
 /// Two cores interleaved on a quantum *smaller* than the hot block:
-/// compiled blocks must honor the per-slice instruction budget exactly
-/// like interpreter superblocks do (the dispatcher refuses entry when
-/// the block's footprint exceeds the remaining budget and falls back to
-/// the interpreter), so per-core cycles, instruction counts, and the
-/// round-robin schedule are identical with the JIT on or off.
+/// compiled blocks must stop at the per-slice instruction budget exactly
+/// where the reference stepper does, so per-core cycles, instruction
+/// counts, and the round-robin schedule are identical on both engines.
 #[test]
 fn jit_smp_interleaved_quantum_agrees() {
-    let run = |jit: bool, quantum: u64| {
+    let run = |accel: bool, quantum: u64| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(true);
-        m.set_jit(jit);
+        m.set_accel(accel);
         let root = alloc_table(&mut m.mem);
         let code_pa = m.mem.alloc_frame();
         let mut a = Asm::new(CODE);
@@ -915,14 +830,14 @@ fn jit_smp_interleaved_quantum_agrees() {
         (exits, per_core, jit_blocks)
     };
     // Quantum 7 ends most slices mid-block (the loop body is 6
-    // instructions plus the terminal), so the budget re-check — not the
-    // block length — decides where execution pauses. Quantum 64 lets
-    // whole blocks run; both must agree with the interpreter.
+    // instructions), so the budget — not the block length — decides
+    // where execution pauses. Quantum 64 lets whole blocks run; both
+    // must agree with the reference engine.
     for quantum in [7u64, 64] {
         let (exits_on, per_core_on, jit_blocks) = run(true, quantum);
         let (exits_off, per_core_off, _) = run(false, quantum);
-        assert_eq!(exits_on, exits_off, "quantum {quantum}: JIT changed the interleaved exits");
-        assert_eq!(per_core_on, per_core_off, "quantum {quantum}: JIT changed per-core accounting");
+        assert_eq!(exits_on, exits_off, "quantum {quantum}: acceleration changed the interleaved exits");
+        assert_eq!(per_core_on, per_core_off, "quantum {quantum}: acceleration changed per-core accounting");
         assert!(jit_blocks > 0, "quantum {quantum}: no compiled block ever executed");
     }
 }

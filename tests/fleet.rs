@@ -298,6 +298,9 @@ struct PanicImage {
 fn contained_panic_run(parallel: bool) -> PanicImage {
     let mut lz = LightZone::new_host(Platform::Carmel);
     lz.kernel.machine.set_parallel(parallel);
+    // The containment checks read the journal, so record it whatever
+    // the `LZ_METRICS` default is.
+    lz.kernel.machine.set_metrics(true);
     lz.kernel.machine.configure_smp(2);
     let prog = looper();
     let mut pids = Vec::new();

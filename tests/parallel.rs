@@ -9,7 +9,8 @@
 //! journal* are compared as values and strings. Random SMP programs
 //! (clone/futex-join workers with optional munmap shootdown traffic
 //! plus independent compute processes) are swept via proptest across
-//! core counts, quanta, seeds, and the fastpath/JIT feature matrix.
+//! core counts, quanta, seeds, and both engines (reference and
+//! accelerated).
 //!
 //! This file is also the data-race smoke: the CI runs it in a debug
 //! build, where the `std::thread::scope` backend executes shells with
@@ -133,21 +134,10 @@ struct RunImage {
     journal_json: String,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_image(
-    progs: &[Program],
-    cores: usize,
-    quantum: u64,
-    seed: u64,
-    fastpath: bool,
-    jit: bool,
-    parallel: bool,
-) -> RunImage {
+fn run_image(progs: &[Program], cores: usize, quantum: u64, seed: u64, accel: bool, parallel: bool) -> RunImage {
     let mut k = Kernel::new_host(Platform::CortexA55);
     k.machine.set_metrics(true);
-    k.machine.set_fetch_cache(true);
-    k.machine.set_fastpath(fastpath);
-    k.machine.set_jit(jit);
+    k.machine.set_accel(accel);
     k.machine.set_parallel(parallel);
     for p in progs {
         k.spawn(p);
@@ -170,19 +160,17 @@ fn run_image(
     }
 }
 
-/// The fixed-workload sweep: every cell of the fastpath × JIT matrix,
-/// on 2 and 4 cores, must be byte-identical across backends.
+/// The fixed-workload sweep: both engines, on 2 and 4 cores, must be
+/// byte-identical across backends.
 #[test]
 fn feature_matrix_parallel_matches_replay() {
     let progs = vec![fan_out_prog(3, 200, true), compute_prog(300)];
     for cores in [2usize, 4] {
-        for fastpath in [false, true] {
-            for jit in [false, true] {
-                let par = run_image(&progs, cores, 48, 0x5eed, fastpath, jit, true);
-                let rep = run_image(&progs, cores, 48, 0x5eed, fastpath, jit, false);
-                assert!(!par.stalled, "stalled at cores={cores} fp={fastpath} jit={jit}");
-                assert_eq!(par, rep, "parallel and replay diverged at cores={cores} fp={fastpath} jit={jit}");
-            }
+        for accel in [false, true] {
+            let par = run_image(&progs, cores, 48, 0x5eed, accel, true);
+            let rep = run_image(&progs, cores, 48, 0x5eed, accel, false);
+            assert!(!par.stalled, "stalled at cores={cores} accel={accel}");
+            assert_eq!(par, rep, "parallel and replay diverged at cores={cores} accel={accel}");
         }
     }
 }
@@ -191,8 +179,8 @@ fn feature_matrix_parallel_matches_replay() {
 #[test]
 fn eight_core_parallel_matches_replay() {
     let progs = vec![fan_out_prog(3, 150, true), fan_out_prog(2, 100, false), compute_prog(400)];
-    let par = run_image(&progs, 8, 32, 0xfeed, true, true, true);
-    let rep = run_image(&progs, 8, 32, 0xfeed, true, true, false);
+    let par = run_image(&progs, 8, 32, 0xfeed, true, true);
+    let rep = run_image(&progs, 8, 32, 0xfeed, true, false);
     assert!(!par.stalled);
     assert_eq!(par, rep, "8-core parallel and replay diverged");
 }
@@ -200,8 +188,8 @@ fn eight_core_parallel_matches_replay() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random SMP programs, core counts, quanta, seeds, and feature
-    /// flags: the parallel backend must replay byte-identically.
+    /// Random SMP programs, core counts, quanta, seeds, and engines:
+    /// the parallel backend must replay byte-identically.
     #[test]
     fn random_smp_runs_parallel_matches_replay(
         cores in 2usize..9,
@@ -211,12 +199,11 @@ proptest! {
         iters in 50u16..501,
         compute_iters in 50u16..901,
         munmap in any::<bool>(),
-        fastpath in any::<bool>(),
-        jit in any::<bool>(),
+        accel in any::<bool>(),
     ) {
         let progs = vec![fan_out_prog(workers, iters, munmap), compute_prog(compute_iters)];
-        let par = run_image(&progs, cores, quantum, seed, fastpath, jit, true);
-        let rep = run_image(&progs, cores, quantum, seed, fastpath, jit, false);
+        let par = run_image(&progs, cores, quantum, seed, accel, true);
+        let rep = run_image(&progs, cores, quantum, seed, accel, false);
         prop_assert!(!par.stalled, "stalled: cores={} quantum={} seed={}", cores, quantum, seed);
         prop_assert_eq!(par, rep);
     }

@@ -293,31 +293,18 @@ fn rollover_smp_local_only_invalidate_leaks_on_remote_core() {
 
 #[test]
 fn rollover_outcomes_are_fastpath_and_jit_invariant() {
-    // The fast path and template JIT may only reproduce the slow path's
-    // TLB semantics — defended runs kill identically and the ablated
-    // runs leak identically across every (fastpath, jit) polarity.
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    let defended: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { fastpath, jit, ..AblationConfig::default() };
-            attacks::rollover_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for d in &defended[1..] {
-        assert_eq!(d, &defended[0], "fastpath/jit changed the defended rollover outcome");
-    }
+    // The accelerated engine (fast path + template JIT) may only
+    // reproduce the reference engine's TLB semantics — defended runs
+    // kill identically and the ablated runs leak identically.
+    let run = |accel: bool, skip_rollover_shootdown: bool| {
+        let ablation = AblationConfig { accel, skip_rollover_shootdown, ..AblationConfig::default() };
+        attacks::rollover_attack(Platform::CortexA55, ablation, 1)
+    };
+    let defended = [run(false, false), run(true, false)];
+    assert_eq!(defended[1], defended[0], "acceleration changed the defended rollover outcome");
     assert!(defended[0].attacker_exit < 0);
-    let broken: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { skip_rollover_shootdown: true, fastpath, jit, ..AblationConfig::default() };
-            attacks::rollover_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for b in &broken[1..] {
-        assert_eq!(b, &broken[0], "fastpath/jit changed the broken kernel's leak");
-    }
+    let broken = [run(false, true), run(true, true)];
+    assert_eq!(broken[1], broken[0], "acceleration changed the broken kernel's leak");
     assert_eq!(broken[0].attacker_exit, attacks::ROLLOVER_SECRET as i64);
 }
 
@@ -325,13 +312,15 @@ fn rollover_outcomes_are_fastpath_and_jit_invariant() {
 // Snapshot/restore: warm restarts vs stale TLB state
 // ---------------------------------------------------------------------
 
+const SETUP: &str = "restore attack set-up (victim reap, donor snapshot, restore) completes";
+
 #[test]
 fn restore_rebuilt_ve_cannot_read_dead_ve() {
     // A warm restart hands the restored VE a recycled VMID whose dead
     // previous owner still has TLB entries. The restore path rebuilds
     // through the normal lz_enter, so the reuse-time shootdown must run
     // and the restored VE's probe of the never-mapped VA dies.
-    let out = attacks::restore_attack(Platform::CortexA55, AblationConfig::default(), 1);
+    let out = attacks::restore_attack(Platform::CortexA55, AblationConfig::default(), 1).expect(SETUP);
     assert_eq!(out.victim_exit, attacks::ROLLOVER_SECRET as i64, "victim planted and warmed the secret");
     assert_eq!(out.restores, 1, "the snapshot must restore exactly once: {out:?}");
     assert!(out.vmid_recycles >= 1, "the restore never hit recycling: {out:?}");
@@ -347,7 +336,7 @@ fn restore_without_reuse_shootdown_leaks_dead_ve_secret() {
     // resumes into the dead victim's gadget page and exfiltrates the
     // secret through the stale data entry.
     let ablation = AblationConfig { skip_rollover_shootdown: true, ..AblationConfig::default() };
-    let out = attacks::restore_attack(Platform::CortexA55, ablation, 1);
+    let out = attacks::restore_attack(Platform::CortexA55, ablation, 1).expect(SETUP);
     assert_eq!(out.victim_exit, attacks::ROLLOVER_SECRET as i64);
     assert_eq!(out.restores, 1);
     assert!(out.vmid_recycles >= 1);
@@ -360,7 +349,7 @@ fn restore_smp_broadcast_clears_remote_core() {
     // SMP: the victim warmed the last core's TLB; the restore runs on
     // core 0 and must *broadcast* the reuse invalidation, so the
     // restored VE scheduled onto the victim's core still faults.
-    let out = attacks::restore_attack(Platform::CortexA55, AblationConfig::default(), 2);
+    let out = attacks::restore_attack(Platform::CortexA55, AblationConfig::default(), 2).expect(SETUP);
     assert_eq!(out.victim_exit, attacks::ROLLOVER_SECRET as i64);
     assert_eq!(out.restores, 1);
     assert!(out.vmid_recycles >= 1);
@@ -373,7 +362,7 @@ fn restore_smp_local_only_invalidate_leaks_on_remote_core() {
     // invalidates core 0: the victim's stale entries survive on its own
     // core and the restored VE reads the dead secret through them.
     let ablation = AblationConfig { skip_remote_shootdown: true, ..AblationConfig::default() };
-    let out = attacks::restore_attack(Platform::CortexA55, ablation, 2);
+    let out = attacks::restore_attack(Platform::CortexA55, ablation, 2).expect(SETUP);
     assert_eq!(out.victim_exit, attacks::ROLLOVER_SECRET as i64);
     assert_eq!(out.restores, 1);
     assert!(out.vmid_recycles >= 1);
@@ -383,31 +372,18 @@ fn restore_smp_local_only_invalidate_leaks_on_remote_core() {
 
 #[test]
 fn restore_outcomes_are_fastpath_and_jit_invariant() {
-    // Fast path and template JIT may only reproduce the slow path's
+    // The accelerated engine may only reproduce the reference engine's
     // restart semantics: defended restores kill identically and ablated
-    // restores leak identically across every (fastpath, jit) polarity.
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    let defended: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { fastpath, jit, ..AblationConfig::default() };
-            attacks::restore_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for d in &defended[1..] {
-        assert_eq!(d, &defended[0], "fastpath/jit changed the defended restore outcome");
-    }
+    // restores leak identically.
+    let run = |accel: bool, skip_rollover_shootdown: bool| {
+        let ablation = AblationConfig { accel, skip_rollover_shootdown, ..AblationConfig::default() };
+        attacks::restore_attack(Platform::CortexA55, ablation, 1).expect(SETUP)
+    };
+    let defended = [run(false, false), run(true, false)];
+    assert_eq!(defended[1], defended[0], "acceleration changed the defended restore outcome");
     assert!(defended[0].probe_exit < 0);
-    let broken: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { skip_rollover_shootdown: true, fastpath, jit, ..AblationConfig::default() };
-            attacks::restore_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for b in &broken[1..] {
-        assert_eq!(b, &broken[0], "fastpath/jit changed the broken kernel's leak");
-    }
+    let broken = [run(false, true), run(true, true)];
+    assert_eq!(broken[1], broken[0], "acceleration changed the broken kernel's leak");
     assert_eq!(broken[0].probe_exit, attacks::ROLLOVER_SECRET as i64);
 }
 

@@ -109,24 +109,16 @@ fn probe_jit_on_core1(m: &mut Machine, executor_ttbr0: u64) -> u64 {
 /// `(warm, after, shootdowns_sent)`: x17 from core 1's pre-flip warm-up
 /// execution and from its post-flip probe, plus the IPI counter.
 fn run_cross_core_attack(cores: usize, skip_remote_shootdown: bool) -> (u64, u64, u64) {
-    run_cross_core_attack_fp(cores, skip_remote_shootdown, lz_machine::default_fastpath())
+    run_cross_core_attack_accel(cores, skip_remote_shootdown, lz_machine::default_accel())
 }
 
-/// Same attack with the data-side fast path pinned on or off: core 1's
-/// warm-up leaves a hot superblock (and its TLB/walk-cache state) over
-/// the JIT page, which must behave exactly like the slow path's TLB
-/// under the flip — in both ablation polarities. (The single-core
-/// armed-DTLB variant lives in `tests/differential.rs`.)
-fn run_cross_core_attack_fp(cores: usize, skip_remote_shootdown: bool, fastpath: bool) -> (u64, u64, u64) {
-    let ablation = AblationConfig { skip_remote_shootdown, fastpath, ..AblationConfig::default() };
-    run_cross_core_attack_abl(cores, ablation)
-}
-
-/// Same attack again with an arbitrary ablation cell — used to sweep
-/// the template-JIT polarity: core 1's warm-up leaves a *compiled*
-/// block over the JIT page, which must die with the shootdown exactly
-/// like the decoded superblock and the slow path's TLB entry do.
-fn run_cross_core_attack_abl(cores: usize, ablation: AblationConfig) -> (u64, u64, u64) {
+/// Same attack with the engine pinned: on the accelerated engine core
+/// 1's warm-up leaves a *compiled* block (and its TLB/walk-cache state)
+/// over the JIT page, which must die with the shootdown exactly like
+/// the reference engine's TLB entry does — in both ablation polarities.
+/// (The single-core armed-DTLB variant lives in `tests/differential.rs`.)
+fn run_cross_core_attack_accel(cores: usize, skip_remote_shootdown: bool, accel: bool) -> (u64, u64, u64) {
+    let ablation = AblationConfig { skip_remote_shootdown, accel, ..AblationConfig::default() };
     let mut lz = LightZone::with_ablation(Platform::CortexA55, false, ablation);
     let payload = movz_x17(0xbeef);
     let pid = lz.spawn(&wx_flip_prog(payload));
@@ -193,53 +185,43 @@ fn bbm_flip_shoots_down_every_remote_core() {
 
 #[test]
 fn cross_core_wx_flip_shot_down_in_both_fastpath_polarities() {
-    // The fix and the fast path must be independent: with the shootdown
-    // in place the stale translation dies whether or not core 1's hot
-    // superblock / micro-TLB state exists, with identical observables.
-    let on = run_cross_core_attack_fp(2, false, true);
-    let off = run_cross_core_attack_fp(2, false, false);
-    assert_eq!(on, off, "fast path changed the shootdown outcome");
+    // The fix and the engine must be independent: with the shootdown in
+    // place the stale translation dies whether or not core 1's compiled
+    // block / micro-TLB state exists, with identical observables.
+    let on = run_cross_core_attack_accel(2, false, true);
+    let off = run_cross_core_attack_accel(2, false, false);
+    assert_eq!(on, off, "acceleration changed the shootdown outcome");
     assert_eq!(on, (0x1111, 0, 1));
 }
 
 #[test]
 fn cross_core_wx_flip_leak_is_fastpath_invariant() {
     // Equivalence, not freshness: the deliberately-broken kernel leaks
-    // the stale executable alias *identically* with the fast path on or
-    // off — the fast path may only reproduce the slow path's staleness,
-    // never add to it or hide it.
-    let on = run_cross_core_attack_fp(2, true, true);
-    let off = run_cross_core_attack_fp(2, true, false);
-    assert_eq!(on, off, "fast path changed the broken kernel's leak");
+    // the stale executable alias *identically* on both engines — the
+    // accelerated engine may only reproduce the reference engine's
+    // staleness, never add to it or hide it.
+    let on = run_cross_core_attack_accel(2, true, true);
+    let off = run_cross_core_attack_accel(2, true, false);
+    assert_eq!(on, off, "acceleration changed the broken kernel's leak");
     assert_eq!(on, (0x1111, 0xbeef, 0), "broken kernel: core 1 ran attacker-written bytes");
 }
 
 #[test]
 fn cross_core_wx_flip_shot_down_in_both_jit_polarities() {
-    // The template JIT must be as invalidation-honest as the layers it
-    // sits on: with the shootdown in place the stale translation (and
-    // the compiled block above it) dies whether or not the JIT ran,
-    // with identical observables.
-    let on = run_cross_core_attack_abl(2, AblationConfig { jit: true, ..AblationConfig::default() });
-    let off = run_cross_core_attack_abl(2, AblationConfig { jit: false, ..AblationConfig::default() });
-    assert_eq!(on, off, "template JIT changed the shootdown outcome");
-    assert_eq!(on, (0x1111, 0, 1));
+    // The 2-core check above on 4 cores: the compiled block on core 1
+    // dies with one of three IPIs, identically on both engines.
+    let on = run_cross_core_attack_accel(4, false, true);
+    let off = run_cross_core_attack_accel(4, false, false);
+    assert_eq!(on, off, "acceleration changed the 4-core shootdown outcome");
+    assert_eq!(on, (0x1111, 0, 3));
 }
 
 #[test]
 fn cross_core_wx_flip_leak_is_jit_invariant() {
-    // Equivalence under the deliberately-broken kernel: the JIT may
-    // only reproduce the slow path's staleness, never add to it or
-    // hide it.
-    let on = run_cross_core_attack_abl(
-        2,
-        AblationConfig { skip_remote_shootdown: true, jit: true, ..AblationConfig::default() },
-    );
-    let off = run_cross_core_attack_abl(
-        2,
-        AblationConfig { skip_remote_shootdown: true, jit: false, ..AblationConfig::default() },
-    );
-    assert_eq!(on, off, "template JIT changed the broken kernel's leak");
+    // The broken kernel's leak on 4 cores, identical on both engines.
+    let on = run_cross_core_attack_accel(4, true, true);
+    let off = run_cross_core_attack_accel(4, true, false);
+    assert_eq!(on, off, "acceleration changed the broken kernel's 4-core leak");
     assert_eq!(on, (0x1111, 0xbeef, 0), "broken kernel: core 1 ran attacker-written bytes");
 }
 
@@ -351,9 +333,12 @@ struct SmpSnapshot {
     ctx_switches: u64,
 }
 
-fn run_smp_snapshot(progs: &[Program], cfg: SmpConfig, cache_on: bool) -> SmpSnapshot {
+/// Run `progs` under `run_smp` on the accelerated (`accel`) or the
+/// reference engine. `configure_smp` inside `run_smp` must propagate the
+/// engine to every secondary core.
+fn run_smp_snapshot(progs: &[Program], cfg: SmpConfig, accel: bool) -> SmpSnapshot {
     let mut k = Kernel::new_host(Platform::CortexA55);
-    k.machine.set_fetch_cache(cache_on);
+    k.machine.set_accel(accel);
     for p in progs {
         k.spawn(p);
     }
@@ -515,43 +500,21 @@ fn smp_run_fetch_cache_on_off_identical() {
     let progs = || vec![futex_join_prog(), compute_prog(200)];
     let on = run_smp_snapshot(&progs(), cfg, true);
     let off = run_smp_snapshot(&progs(), cfg, false);
-    assert_eq!(on, off, "decoded-block cache must not change SMP-observable state");
-}
-
-/// `run_smp_snapshot` with the data-side fast path pinned (fetch cache
-/// held on): `configure_smp` inside `run_smp` must propagate the flag
-/// to every secondary core.
-fn run_smp_snapshot_fast(progs: &[Program], cfg: SmpConfig, fastpath: bool) -> SmpSnapshot {
-    let mut k = Kernel::new_host(Platform::CortexA55);
-    k.machine.set_fetch_cache(true);
-    k.machine.set_fastpath(fastpath);
-    for p in progs {
-        k.spawn(p);
-    }
-    let run = k.run_smp(cfg, 10_000_000);
-    let m = &k.machine;
-    SmpSnapshot {
-        exited: run.exited,
-        steps: run.steps,
-        stalled: run.stalled,
-        per_core: (0..m.num_cores()).map(|i| (m.core_cpu(i).insns, m.core_cpu(i).cycles)).collect(),
-        shootdowns: (m.smp().shootdowns_sent, m.smp().shootdowns_acked, m.smp().ipis_sent),
-        ctx_switches: k.stats.ctx_switches,
-    }
+    assert_eq!(on, off, "acceleration must not change SMP-observable state");
 }
 
 #[test]
 fn smp_run_fastpath_on_off_identical() {
     // The full SMP differential: quantum interleaving, cross-core
-    // shootdowns, futex traffic — the fast path's per-block step budget
-    // must observe the exact same instruction boundaries the stepper
-    // does, or slices (and thus the whole schedule) shift.
+    // shootdowns, futex traffic — compiled blocks must stop at the exact
+    // instruction boundaries the reference stepper does, or slices (and
+    // thus the whole schedule) shift.
     for cores in [2usize, 4] {
         let cfg = SmpConfig { cores, quantum: 48, seed: 0x5eed };
         let progs = || vec![multi_worker_prog(3, 200), compute_prog(200)];
-        let on = run_smp_snapshot_fast(&progs(), cfg, true);
-        let off = run_smp_snapshot_fast(&progs(), cfg, false);
-        assert_eq!(on, off, "data-side fast path changed SMP-observable state at {cores} cores");
+        let on = run_smp_snapshot(&progs(), cfg, true);
+        let off = run_smp_snapshot(&progs(), cfg, false);
+        assert_eq!(on, off, "acceleration changed SMP-observable state at {cores} cores");
         assert!(!on.stalled);
     }
 }
