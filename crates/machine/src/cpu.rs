@@ -302,10 +302,11 @@ impl Machine {
     /// The breakpoint has zero modelled cost: cycles, instructions,
     /// journals and every cache are exactly what an unbroken run would
     /// reach at that instruction boundary, on every engine. It is read at
-    /// block starts only; blocks are clamped to end before `pc` the way
-    /// the instruction budget clamps them, so an armed breakpoint keeps
-    /// compiled-block speed. [`Machine::run_epoch`] ignores it and
-    /// leaves it armed.
+    /// block starts only; a block whose span holds `pc` is clamped to end
+    /// before it the way the instruction budget clamps it, and a block
+    /// starting at `pc` does not loop back in-block, so an armed
+    /// breakpoint keeps compiled-block speed. [`Machine::run_epoch`]
+    /// ignores it and leaves it armed.
     ///
     /// # Panics
     ///
@@ -422,6 +423,7 @@ impl Machine {
             .with("dtlb_hits", fast.dtlb_hits)
             .with("walkcache_hits", fast.walkcache_hits)
             .with("jit_blocks", fast.jit_blocks)
+            .with("jit_loopbacks", fast.jit_loopbacks)
             .with("jit_compiled", fast.jit_compiled);
 
         let mut gate = Section::new("gate").with("switches", self.metrics.domain_switches);
@@ -576,19 +578,21 @@ impl Machine {
     /// There are two engines. With the acceleration layer off (see
     /// [`Machine::set_accel`]) this is the reference loop: one `step()`
     /// per instruction. With it on, execution proceeds in compiled
-    /// blocks: straight-line decoded runs execute without a
-    /// per-instruction probe, but every instruction boundary the
-    /// reference loop would observe (quantum expiry, exits, faults) is
-    /// observed identically — a block stops where the remaining budget
-    /// runs out. An armed breakpoint (see [`Machine::break_before`])
-    /// clamps blocks the same way.
+    /// blocks: decoded runs execute without a per-instruction probe and
+    /// loop in-block, but every instruction boundary the reference loop
+    /// would observe (quantum expiry, exits, faults) is observed
+    /// identically — a block stops where the remaining budget runs out.
+    /// An armed breakpoint (see [`Machine::break_before`]) inside a
+    /// block clamps it the same way.
     pub fn run(&mut self, limit: u64) -> Exit {
         if self.tlb.accel() {
             let mut remaining = limit;
             while remaining > 0 {
                 self.check_panic_hook();
-                let Some(room) = self.breakpoint_room() else { return Exit::Limit };
-                let (used, exit) = self.step_block(remaining.min(room));
+                if self.breakpoint_fires() {
+                    return Exit::Limit;
+                }
+                let (used, exit) = self.step_block(remaining);
                 if let Some(exit) = exit {
                     return exit;
                 }
@@ -598,7 +602,7 @@ impl Machine {
         }
         for _ in 0..limit {
             self.check_panic_hook();
-            if self.breakpoint_room().is_none() {
+            if self.breakpoint_fires() {
                 return Exit::Limit;
             }
             if let Some(exit) = self.step() {
@@ -619,23 +623,24 @@ impl Machine {
     }
 
     /// The breakpoint check, once per run-loop iteration: counts a hit
-    /// when the next instruction is the armed one. `None` means the
-    /// breakpoint fires now (it is consumed); otherwise the result is
-    /// how many instructions the next block may retire without reaching
-    /// the breakpoint's PC. Blocks are straight-line, so a block that
-    /// starts at that PC cannot reach it again.
+    /// when the next instruction is the armed one, and returns `true`
+    /// when that hit is the last one (the breakpoint fires now and is
+    /// consumed). A compiled block reaches the armed PC only inside its
+    /// own span or by looping back to its start, so `step_block` clamps
+    /// it in the first case and `step_jit` refuses the loop-back in the
+    /// second: every arrival passes through here.
     #[inline]
-    fn breakpoint_room(&mut self) -> Option<u64> {
-        let Some((pc, hits)) = self.breakpoint else { return Some(u64::MAX) };
-        if self.cpu.pc == pc {
-            if hits == 1 {
-                self.breakpoint = None;
-                return None;
-            }
-            self.breakpoint = Some((pc, hits - 1));
-            return Some(u64::MAX);
+    fn breakpoint_fires(&mut self) -> bool {
+        let Some((pc, hits)) = self.breakpoint else { return false };
+        if self.cpu.pc != pc {
+            return false;
         }
-        Some(if pc > self.cpu.pc { (pc - self.cpu.pc) / 4 } else { u64::MAX })
+        if hits == 1 {
+            self.breakpoint = None;
+            return true;
+        }
+        self.breakpoint = Some((pc, hits - 1));
+        false
     }
 
     /// Execute one instruction. Returns `Some(exit)` when control leaves
@@ -683,7 +688,14 @@ impl Machine {
         let Some((block, pa_page, frame_version)) = served.or_else(|| self.compile_block(&cfg, el, pc)) else {
             return (1, self.step());
         };
-        self.step_jit(&block, pc, pa_page, frame_version, budget)
+        // An armed breakpoint inside the block's span clamps the budget
+        // to end just before it; one at the block's start was counted by
+        // the run loop, and one outside the span is unreachable in-block.
+        let budget = match self.breakpoint {
+            Some((bp, _)) if bp > pc && bp < pc + 4 * block.len => budget.min((bp - pc) / 4),
+            _ => budget,
+        };
+        self.step_jit(&block, &cfg, pc, pa_page, frame_version, budget)
     }
 
     /// Extract the decoded run at `pc` up to its natural boundary
@@ -711,15 +723,24 @@ impl Machine {
     /// Execute a compiled block (see [`crate::jit`]), retiring at most
     /// `budget` instructions.
     ///
-    /// Equivalence to `budget` reference steps: ALU-template runs cannot
-    /// touch the TLB, memory, the PC, or the journal, so the TLB
-    /// generation, the code frame's content version (via the `write_gen`
-    /// shortcut) and the PC are revalidated once per segment boundary —
-    /// which observes exactly the states stepping would, because only
-    /// `Slow` segments can perturb them. A changed generation or frame
-    /// ends the block before the next instruction; so does a `Slow`
-    /// segment that leaves the fall-through path (a data fault vectored
-    /// to interpreted EL1, or the block's final control transfer).
+    /// Equivalence to `budget` reference steps: ALU templates and
+    /// branches cannot touch the TLB, memory or the journal, and an
+    /// inline load or store on a micro-DTLB hit leaves TLB structure
+    /// alone, so the TLB generation and the code frame's content version
+    /// (via the `write_gen` shortcut) are revalidated once per segment
+    /// boundary — which observes exactly the states stepping would. A
+    /// changed generation or frame ends the block before the next
+    /// instruction; so does a segment that leaves the fall-through path
+    /// (a taken branch, a data fault vectored to interpreted EL1, or the
+    /// block's final control transfer).
+    ///
+    /// When control returns to the block's own start, the block loops
+    /// back to segment 0 in place of a trip through the run loop, but
+    /// only where that trip would serve this same block and count
+    /// nothing: budget left, TLB generation, regime generation and EL
+    /// unchanged, code frame content-fresh, and no breakpoint armed at
+    /// the start. The host-panic hook fires at each loop-back as it
+    /// would at the run-loop iteration.
     ///
     /// Cycle, instruction, and hit counters are charged in per-run
     /// batches that sum to the per-instruction totals, and no
@@ -727,10 +748,13 @@ impl Machine {
     /// run. When the budget ends inside a run, only its first ops
     /// execute and each is charged its own cost (`insn_base` plus any
     /// multiply/divide latency). `Slow` segments run the interpreter's
-    /// own bookkeeping verbatim.
+    /// own bookkeeping verbatim; `Mem` segments charge what
+    /// `data_access` charges on a micro-DTLB hit (see
+    /// [`Machine::access_inline`]).
     fn step_jit(
         &mut self,
         block: &CompiledBlock,
+        cfg: &WalkConfig,
         pc: u64,
         pa_page: u64,
         frame_version: u64,
@@ -740,72 +764,154 @@ impl Machine {
         self.tlb.count_jit_block();
         let el = self.cpu.pstate.el;
         let gen0 = self.tlb.generation();
+        let cfg_gen0 = self.cfg_gen;
         let mut checked_wg = self.mem.write_gen();
+        let insn_base = self.model.insn_base;
         let mut used = 0u64;
-        let mut exit = None;
-        let mut pc_k = pc;
-        for (si, seg) in block.segs.iter().enumerate() {
-            if used == budget {
-                break;
-            }
-            if si > 0 {
-                if self.tlb.generation() != gen0 {
-                    break;
+        'pass: loop {
+            let mut pc_k = pc;
+            for (si, seg) in block.segs.iter().enumerate() {
+                if used == budget {
+                    break 'pass;
                 }
-                let wg = self.mem.write_gen();
-                if wg != checked_wg {
-                    if self.mem.frame_version(pa_page) != Some(frame_version) {
-                        break;
-                    }
-                    checked_wg = wg;
+                if si > 0 && !self.code_fresh(gen0, pa_page, frame_version, &mut checked_wg) {
+                    break 'pass;
                 }
-            }
-            match seg {
-                Segment::Alu { ops, cycles } => {
-                    let room = budget - used;
-                    let (ops, cycles) = if ops.len() as u64 <= room {
-                        (&ops[..], *cycles)
-                    } else {
-                        let ops = &ops[..room as usize];
-                        (ops, ops.iter().map(|op| op.cycles(self.model.insn_base)).sum())
-                    };
-                    let n = ops.len() as u64;
-                    self.tlb.count_superblock_insns(n);
-                    self.cpu.insns += n;
-                    self.cpu.cycles += cycles;
-                    used += n;
-                    if self.trace.enabled() {
-                        for op in ops.iter() {
-                            self.trace.record(pc_k, op.word, el);
-                            pc_k += 4;
+                let exit = match seg {
+                    Segment::Alu { ops, cycles } => {
+                        let room = budget - used;
+                        let (ops, cycles) = if ops.len() as u64 <= room {
+                            (&ops[..], *cycles)
+                        } else {
+                            let ops = &ops[..room as usize];
+                            (ops, ops.iter().map(|op| op.cycles(insn_base)).sum())
+                        };
+                        let n = ops.len() as u64;
+                        self.tlb.count_superblock_insns(n);
+                        self.cpu.insns += n;
+                        self.cpu.cycles += cycles;
+                        used += n;
+                        if self.trace.enabled() {
+                            for op in ops.iter() {
+                                self.trace.record(pc_k, op.word, el);
+                                pc_k += 4;
+                            }
+                        } else {
+                            pc_k += 4 * n;
                         }
-                    } else {
-                        pc_k += 4 * n;
+                        let cpu = &mut self.cpu;
+                        for op in ops.iter() {
+                            op.exec(cpu);
+                        }
+                        cpu.pc = pc_k;
+                        continue;
                     }
-                    let cpu = &mut self.cpu;
-                    for op in ops.iter() {
-                        op.exec(cpu);
+                    Segment::Mem(op) => {
+                        self.retire_one(pc_k, op.word, el);
+                        used += 1;
+                        match self.access_inline(op, cfg, pc_k + 4) {
+                            Some(exit) => exit,
+                            None => self.execute(op.insn, op.word),
+                        }
                     }
-                    cpu.pc = pc_k;
+                    Segment::Branch(br) => {
+                        self.retire_one(pc_k, br.word, el);
+                        used += 1;
+                        self.cpu.pc = if br.taken(&self.cpu) { br.target } else { pc_k + 4 };
+                        None
+                    }
+                    Segment::Slow { word, insn } => {
+                        self.retire_one(pc_k, *word, el);
+                        used += 1;
+                        self.execute(*insn, *word)
+                    }
+                };
+                if exit.is_some() {
+                    return (used, exit);
                 }
-                Segment::Slow { word, insn } => {
-                    self.tlb.count_superblock_insn();
-                    used += 1;
-                    self.cpu.insns += 1;
-                    self.charge(self.model.insn_base);
-                    self.trace.record(pc_k, *word, el);
-                    exit = self.execute(*insn, *word);
-                    if exit.is_some() {
-                        break;
-                    }
-                    pc_k += 4;
-                    if self.cpu.pc != pc_k {
-                        break;
-                    }
+                pc_k += 4;
+                if self.cpu.pc == pc_k {
+                    continue;
                 }
+                if self.cpu.pc == pc
+                    && used < budget
+                    && self.cpu.pstate.el == el
+                    && self.cfg_gen == cfg_gen0
+                    && self.code_fresh(gen0, pa_page, frame_version, &mut checked_wg)
+                    && !matches!(self.breakpoint, Some((bp, _)) if bp == pc)
+                {
+                    self.tlb.count_jit_loopback();
+                    self.check_panic_hook();
+                    continue 'pass;
+                }
+                break 'pass;
             }
+            break;
         }
-        (used, exit)
+        (used, None)
+    }
+
+    /// Still serving the block entered at TLB generation `gen0` from a
+    /// code frame at `frame_version`? `checked_wg` memoises the last
+    /// `write_gen` at which the frame was seen fresh.
+    #[inline]
+    fn code_fresh(&self, gen0: u64, pa_page: u64, frame_version: u64, checked_wg: &mut u64) -> bool {
+        if self.tlb.generation() != gen0 {
+            return false;
+        }
+        let wg = self.mem.write_gen();
+        if wg != *checked_wg {
+            if self.mem.frame_version(pa_page) != Some(frame_version) {
+                return false;
+            }
+            *checked_wg = wg;
+        }
+        true
+    }
+
+    /// The reference step's per-instruction bookkeeping for one
+    /// compiled non-ALU instruction at `pc`: the replayed fetch hits, the
+    /// retired instruction, its base cost and its trace record.
+    #[inline]
+    fn retire_one(&mut self, pc: u64, word: u32, el: ExceptionLevel) {
+        self.tlb.count_superblock_insn();
+        self.cpu.insns += 1;
+        self.cpu.cycles += self.model.insn_base;
+        self.trace.record(pc, word, el);
+    }
+
+    /// Run a lowered `LDR`/`STR` inline when the micro-DTLB already
+    /// holds its translation, charging exactly what `data_access`
+    /// charges on that hit: zero translation cost and one `mem_access`.
+    /// Returns `None`, having changed nothing, where `execute` must run
+    /// the access instead: an EL0 access while watchpoints are enabled,
+    /// a page-crossing access, or a micro-DTLB miss. (Blocks never run
+    /// in the bare identity regime, which bypasses the TLB: `step_block`
+    /// steps there.) A hit that meets a bus error raises it directly,
+    /// since a second lookup would count the TLB hit twice.
+    #[inline]
+    fn access_inline(&mut self, op: &crate::jit::MemOp, cfg: &WalkConfig, next_pc: u64) -> Option<Option<Exit>> {
+        let el = self.cpu.pstate.el;
+        if self.cpu.watchpoints_enabled && el == ExceptionLevel::El0 {
+            return None;
+        }
+        let va = self.cpu.base_reg(op.rn).wrapping_add(op.offset);
+        if (va & 0xfff) + op.bytes > 4096 {
+            return None;
+        }
+        let pan = self.cpu.pstate.pan;
+        let pa = self.tlb.dtlb_lookup(cfg.vmid(), cfg.asid(), el, pan, false, cfg.s1_enabled, va, op.store)?;
+        self.charge(self.model.mem_access);
+        if op.store {
+            if !self.mem.write(pa, self.cpu.reg(op.rt), op.bytes) {
+                return Some(self.bus_error(va));
+            }
+        } else {
+            let Some(v) = self.mem.read(pa, op.bytes) else { return Some(self.bus_error(va)) };
+            self.cpu.set_reg(op.rt, v);
+        }
+        self.cpu.pc = next_pc;
+        Some(None)
     }
 
     fn execute(&mut self, insn: Insn, word: u32) -> Option<Exit> {

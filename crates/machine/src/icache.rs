@@ -343,8 +343,8 @@ impl ICache {
         Some((pa, word, insn))
     }
 
-    /// Extract a straight-line decoded run (a superblock) for lowering
-    /// into a compiled block.
+    /// Extract a decoded run (a superblock) for lowering into a compiled
+    /// block.
     ///
     /// Validation is exactly [`Self::fast_probe`]'s (armed at `tlb_gen`
     /// for `asid`, regime flags unchanged, code frame content-fresh) but
@@ -553,15 +553,18 @@ impl ICache {
 
 /// Can a superblock continue past this instruction?
 ///
-/// Chainable instructions fall through to `pc + 4` when they do not fault
-/// and cannot by themselves change the exception level, PSTATE, a system
-/// register, or TLB *structure beyond ordinary inserts* — loads and
-/// stores may still fault or self-modify code, which the superblock
-/// executor catches by revalidating the TLB generation, the code frame
-/// version, and the PC after every instruction. Branches, exception
-/// generators, barriers, and system-register traffic all end the block
-/// (they may be its final instruction, since nothing executes after
-/// them inside the block).
+/// Chainable instructions cannot by themselves change the exception
+/// level, PSTATE, a system register, or TLB *structure beyond ordinary
+/// inserts*. Most fall through to `pc + 4`; conditional branches
+/// (`B.cond`, `CBZ`, `CBNZ`) may instead leave the fall-through path,
+/// which ends the block there (a side exit) unless the target is the
+/// block's own start (a loop-back). Loads and stores may still fault or
+/// self-modify code, which the block executor catches by revalidating
+/// the TLB generation, the code frame version, and the PC after every
+/// segment. Unconditional and register branches, exception generators,
+/// barriers, and system-register traffic all end the block (they may be
+/// its final instruction, since nothing executes after them inside the
+/// block).
 fn chainable(insn: &Insn) -> bool {
     matches!(
         insn,
@@ -585,6 +588,8 @@ fn chainable(insn: &Insn) -> bool {
             | Insn::StrImm { .. }
             | Insn::Ldtr { .. }
             | Insn::Sttr { .. }
+            | Insn::BCond { .. }
+            | Insn::Cbz { .. }
             | Insn::Nop
     )
 }

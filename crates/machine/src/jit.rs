@@ -1,17 +1,26 @@
 //! Template JIT: the accelerated engine's block format, a lowered IR of
-//! pre-specialized host closures for the chainable ALU subset.
+//! pre-specialized host closures for the chainable subset.
 //!
 //! The reference engine dispatches one decoded [`Insn`] at a time
 //! through the full `execute` match. With the acceleration layer on,
-//! `Machine::step_block` instead extracts each straight-line decoded run
-//! once (see `ICache::superblock`) and lowers it into a
-//! [`CompiledBlock`]: runs of pure-ALU *templates* — function pointers
-//! selected at lowering time with register slots resolved, immediates
-//! constant-folded (including fully PC-folded `ADR`/`ADRP`, since a
-//! block's virtual address is fixed by its icache key), and flag-setting
-//! variants split into their own entry points — separated by `Slow`
-//! segments for anything that needs full interpreter bookkeeping
-//! (loads/stores and the block's trailing non-chainable instruction).
+//! `Machine::step_block` instead extracts each decoded run once (see
+//! `ICache::superblock`) and lowers it into a [`CompiledBlock`] of
+//! segments:
+//!
+//! * `Alu` runs of pure-ALU *templates* — function pointers selected at
+//!   lowering time with register slots resolved, immediates
+//!   constant-folded (including fully PC-folded `ADR`/`ADRP`, since a
+//!   block's virtual address is fixed by its icache key), and
+//!   flag-setting variants split into their own entry points;
+//! * `Mem` segments for `LDR`/`STR` with an unsigned immediate, served
+//!   inline on a micro-DTLB hit (`Machine::step_jit`);
+//! * `Branch` segments for `B.cond`/`CBZ`/`CBNZ`, their targets folded
+//!   to absolute addresses. A taken branch is a *side exit*: it leaves
+//!   the fall-through path and ends the block, unless it targets the
+//!   block's own start, where the executor may loop back in-block;
+//! * `Slow` segments for anything that needs full interpreter
+//!   bookkeeping (pair and unprivileged loads/stores, and the block's
+//!   trailing non-chainable instruction).
 //!
 //! Every extracted run lowers, so a block made only of `Slow` segments is
 //! an ordinary compiled block: the engine has no second, interpreted
@@ -20,17 +29,18 @@
 //! # Why per-segment revalidation is exact
 //!
 //! Stepping observes `Tlb::generation` and `PhysMem::write_gen`/
-//! `frame_version` before every instruction. An ALU template touches
-//! only `Cpu` registers, NZCV, and the cycle/instruction counters: it
-//! cannot insert or promote a TLB entry, write memory, fault, or move
-//! the PC off the fall-through path.
-//! Both checks are therefore provably no-ops *inside* an ALU run, and
-//! checking once per segment boundary observes exactly the states
-//! stepping would. `Slow` segments run through `Machine::execute` with
-//! the interpreter's own per-instruction bookkeeping, so a store that
-//! bumps `write_gen` (self-modifying code) or a load that promotes a TLB
-//! entry ends the compiled block at the same boundary a step loop would
-//! observe it.
+//! `frame_version` before every instruction. An ALU template or a branch
+//! touches only `Cpu` registers, NZCV, the PC and the cycle/instruction
+//! counters: it cannot insert or promote a TLB entry, write memory or
+//! fault. An inline load or store on a micro-DTLB hit replays a free L1
+//! hit (no TLB structure changes); a store bumps `write_gen`. Checking
+//! once per segment boundary therefore observes exactly the states
+//! stepping would. `Slow` segments and `Mem` fallbacks run through
+//! `Machine::execute` with the interpreter's own per-instruction
+//! bookkeeping, so a store that bumps `write_gen` (self-modifying code)
+//! or a load that promotes a TLB entry ends the compiled block at the
+//! same boundary a step loop would observe it. A loop-back re-runs the
+//! checks that serving the block again from the run loop would make.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -47,7 +57,7 @@
 //! per-op when tracing is enabled.
 
 use crate::cpu::Cpu;
-use lz_arch::insn::{Cond, Insn, LogicOp};
+use lz_arch::insn::{Cond, Insn, LogicOp, MemSize};
 use lz_arch::pstate::Nzcv;
 
 /// Extra modelled latency of `MADD` beyond `insn_base` (shared with the
@@ -98,21 +108,71 @@ pub(crate) enum Segment {
     /// A run of pure-ALU templates; `cycles` is the run's total modelled
     /// cost (`ops.len() × insn_base` plus fixed latencies), charged once.
     Alu { ops: Box<[Tmpl]>, cycles: u64 },
-    /// An instruction that needs full interpreter bookkeeping: a
-    /// load/store (may fault, self-modify, or perturb the TLB) or the
-    /// block's trailing non-chainable instruction.
+    /// An `LDR`/`STR` with an unsigned immediate offset, run inline on a
+    /// micro-DTLB hit.
+    Mem(MemOp),
+    /// A conditional branch (`B.cond`, `CBZ`, `CBNZ`).
+    Branch(BranchOp),
+    /// An instruction that needs full interpreter bookkeeping: a pair or
+    /// unprivileged load/store (may fault, self-modify, or perturb the
+    /// TLB) or the block's trailing non-chainable instruction.
     Slow { word: u32, insn: Insn },
 }
 
-/// A superblock lowered to alternating ALU-template runs and `Slow`
-/// interpreter segments. Stored in the icache page entry that produced
-/// it and therefore dropped by exactly the invalidation scopes (TLBI,
-/// ASID/VMID maintenance, content staleness, capacity) that drop the
-/// decoded block; serve-time validation mirrors the decoded-slot fast
-/// probe, and per-segment revalidation mirrors what stepping observes.
+/// A lowered `LDR`/`STR` (unsigned immediate). `insn` is the decoded
+/// instruction, run through `execute` whenever the inline path cannot
+/// serve the access (watchpoints, page-crossing, a micro-DTLB miss).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemOp {
+    pub(crate) rt: u8,
+    pub(crate) rn: u8,
+    pub(crate) store: bool,
+    pub(crate) bytes: u64,
+    pub(crate) offset: u64,
+    pub(crate) word: u32,
+    pub(crate) insn: Insn,
+}
+
+/// The condition a [`BranchOp`] tests.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BranchTest {
+    /// `B.cond`: NZCV satisfies the condition.
+    Cond(Cond),
+    /// `CBZ` (`nonzero == false`) / `CBNZ`: register `rt` is (not) zero.
+    Zero { rt: u8, nonzero: bool },
+}
+
+/// A lowered conditional branch; `target` is the absolute taken
+/// address (the block's VA is fixed by its icache key).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BranchOp {
+    pub(crate) test: BranchTest,
+    pub(crate) target: u64,
+    pub(crate) word: u32,
+}
+
+impl BranchOp {
+    /// Whether the branch is taken in `cpu`'s current state.
+    #[inline(always)]
+    pub(crate) fn taken(&self, cpu: &Cpu) -> bool {
+        match self.test {
+            BranchTest::Cond(cond) => cond.holds(cpu.pstate.nzcv),
+            BranchTest::Zero { rt, nonzero } => (cpu.reg(rt) == 0) != nonzero,
+        }
+    }
+}
+
+/// A superblock lowered to segments. Stored in the icache page entry
+/// that produced it and therefore dropped by exactly the invalidation
+/// scopes (TLBI, ASID/VMID maintenance, content staleness, capacity)
+/// that drop the decoded block; serve-time validation mirrors the
+/// decoded-slot fast probe, and per-segment revalidation mirrors what
+/// stepping observes.
 #[derive(Debug)]
 pub struct CompiledBlock {
     pub(crate) segs: Box<[Segment]>,
+    /// Instructions in the block: it spans `[va, va + 4 * len)`.
+    pub(crate) len: u64,
 }
 
 // --- template library ---------------------------------------------------
@@ -269,31 +329,49 @@ fn lower_alu(pc: u64, word: u32, insn: Insn) -> Option<Tmpl> {
 
 /// Lower a decoded superblock (as extracted by `ICache::superblock`,
 /// starting at virtual address `va`) into a [`CompiledBlock`]. A run
-/// with no ALU instruction lowers to `Slow` segments only.
+/// with no ALU instruction lowers to non-ALU segments only.
 pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> CompiledBlock {
     let mut segs: Vec<Segment> = Vec::new();
     let mut run: Vec<Tmpl> = Vec::new();
     let mut run_cycles = 0u64;
     for (k, &(word, insn)) in buf.iter().enumerate() {
         let pc_k = va + 4 * k as u64;
-        match lower_alu(pc_k, word, insn) {
-            Some(t) => {
-                run_cycles += t.cycles(insn_base);
-                run.push(t);
-            }
-            None => {
-                if !run.is_empty() {
-                    segs.push(Segment::Alu { ops: std::mem::take(&mut run).into_boxed_slice(), cycles: run_cycles });
-                    run_cycles = 0;
-                }
-                segs.push(Segment::Slow { word, insn });
-            }
+        if let Some(t) = lower_alu(pc_k, word, insn) {
+            run_cycles += t.cycles(insn_base);
+            run.push(t);
+            continue;
         }
+        if !run.is_empty() {
+            segs.push(Segment::Alu { ops: std::mem::take(&mut run).into_boxed_slice(), cycles: run_cycles });
+            run_cycles = 0;
+        }
+        segs.push(lower_other(pc_k, word, insn));
     }
     if !run.is_empty() {
         segs.push(Segment::Alu { ops: run.into_boxed_slice(), cycles: run_cycles });
     }
-    CompiledBlock { segs: segs.into_boxed_slice() }
+    CompiledBlock { segs: segs.into_boxed_slice(), len: buf.len() as u64 }
+}
+
+/// Lower one non-ALU instruction at `pc`: an inline memory or branch
+/// segment where one exists, else `Slow`.
+fn lower_other(pc: u64, word: u32, insn: Insn) -> Segment {
+    let mem = |rt, rn, offset, size: MemSize, store| {
+        Segment::Mem(MemOp { rt, rn, store, bytes: size.bytes(), offset, word, insn })
+    };
+    match insn {
+        Insn::LdrImm { rt, rn, offset, size } => mem(rt, rn, offset, size, false),
+        Insn::StrImm { rt, rn, offset, size } => mem(rt, rn, offset, size, true),
+        Insn::BCond { cond, offset } => {
+            Segment::Branch(BranchOp { test: BranchTest::Cond(cond), target: pc.wrapping_add_signed(offset), word })
+        }
+        Insn::Cbz { rt, offset, nonzero } => Segment::Branch(BranchOp {
+            test: BranchTest::Zero { rt, nonzero },
+            target: pc.wrapping_add_signed(offset),
+            word,
+        }),
+        _ => Segment::Slow { word, insn },
+    }
 }
 
 #[cfg(test)]
@@ -325,18 +403,41 @@ mod tests {
         let buf = block(&[0xD280_00E0, 0xF940_0041, 0xD280_0123]);
         let b = lower(0x40_0000, &buf, 1);
         assert_eq!(b.segs.len(), 3);
+        assert_eq!(b.len, 3);
         assert!(matches!(b.segs[0], Segment::Alu { .. }));
-        assert!(matches!(b.segs[1], Segment::Slow { .. }));
+        assert!(matches!(b.segs[1], Segment::Mem(MemOp { rt: 1, rn: 2, offset: 0, bytes: 8, store: false, .. })));
         assert!(matches!(b.segs[2], Segment::Alu { .. }));
     }
 
     #[test]
-    fn block_with_no_alu_lowers_to_slow_segments() {
-        // ldr x1, [x2] ; svc #0
-        let buf = block(&[0xF940_0041, 0xD400_0001]);
+    fn block_with_no_alu_lowers_to_other_segments() {
+        // ldp x1, x2, [x3] ; str w1, [x2, #4] ; svc #0
+        let buf = block(&[0xA940_0861, 0xB900_0441, 0xD400_0001]);
         let b = lower(0x40_0000, &buf, 1);
-        assert_eq!(b.segs.len(), 2);
-        assert!(b.segs.iter().all(|s| matches!(s, Segment::Slow { .. })));
+        assert_eq!(b.segs.len(), 3);
+        assert!(matches!(b.segs[0], Segment::Slow { .. }));
+        assert!(matches!(b.segs[1], Segment::Mem(MemOp { store: true, bytes: 4, offset: 4, .. })));
+        assert!(matches!(b.segs[2], Segment::Slow { .. }));
+    }
+
+    #[test]
+    fn branch_targets_fold_to_absolute_addresses() {
+        // b.ne .-4 at va+4 ; cbnz x3, .+8 at va+8
+        let buf = block(&[
+            0xD503_201F,
+            Insn::BCond { cond: Cond::Ne, offset: -4 }.encode(),
+            Insn::Cbz { rt: 3, offset: 8, nonzero: true }.encode(),
+        ]);
+        let b = lower(0x40_0100, &buf, 1);
+        let Segment::Branch(ne) = &b.segs[1] else { panic!("expected a branch segment") };
+        let Segment::Branch(cbnz) = &b.segs[2] else { panic!("expected a branch segment") };
+        assert_eq!((ne.target, cbnz.target), (0x40_0100, 0x40_0110));
+        let mut cpu = Cpu::new();
+        cpu.pstate.nzcv.z = true;
+        assert!(!ne.taken(&cpu) && !cbnz.taken(&cpu));
+        cpu.pstate.nzcv.z = false;
+        cpu.set_reg(3, 1);
+        assert!(ne.taken(&cpu) && cbnz.taken(&cpu));
     }
 
     #[test]

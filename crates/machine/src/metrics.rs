@@ -133,9 +133,12 @@ pub struct FastStats {
     /// Stage-1(+stage-2) walks replayed from the walk cache instead of
     /// touching up to 7 table descriptors.
     pub walkcache_hits: u64,
-    /// Compiled-block entries (each covers one straight-line run of
-    /// decoded instructions executed without per-instruction probes).
+    /// Compiled-block entries from the run loop (each runs one decoded
+    /// run without per-instruction probes, looping in-block).
     pub jit_blocks: u64,
+    /// In-block loop-backs: a compiled block's control returned to its
+    /// own start and re-entered it without a run-loop dispatch.
+    pub jit_loopbacks: u64,
     /// Decoded runs lowered to compiled blocks (each counts once, at
     /// compile time).
     pub jit_compiled: u64,

@@ -571,7 +571,7 @@ impl Tlb {
         }
     }
 
-    /// Extract a straight-line decoded run starting at `va` into `out`
+    /// Extract a decoded run starting at `va` into `out`
     /// (block compilation). Returns the backing `(pa_page,
     /// frame_version)` the caller must revalidate between segments.
     /// Validation is identical to `fast_probe` — armed at the current
@@ -632,6 +632,12 @@ impl Tlb {
     #[inline]
     pub(crate) fn count_jit_block(&mut self) {
         self.fast.jit_blocks += 1;
+    }
+
+    /// Count one in-block loop-back (host-side observability only).
+    #[inline]
+    pub(crate) fn count_jit_loopback(&mut self) {
+        self.fast.jit_loopbacks += 1;
     }
 
     /// Replay the per-instruction bookkeeping a compiled-block

@@ -9,7 +9,10 @@
 //! resuming to the exit must reach exactly the state of an unbroken run,
 //! event journal included. A second program checks that a quantum end or
 //! a breakpoint inside an ALU run holding a MADD and a UDIV stops the
-//! compiled block itself with per-instruction cycles.
+//! compiled block itself with per-instruction cycles. A third, a byte
+//! scan whose compiled block loops back to its own start in-block and
+//! leaves by a side exit, checks breakpoints at the looping block's start
+//! and inside its body, and quantum ends mid-loop.
 
 use lz_arch::asm::Asm;
 use lz_arch::esr::ExceptionClass;
@@ -291,5 +294,126 @@ fn run_epoch_ignores_and_keeps_the_breakpoint() {
         let out = m.run_epoch(&[LIMIT]);
         assert_eq!(out[0].0, Exit::El2(ExceptionClass::Svc), "{}: epoch stopped early", engine.0);
         assert_eq!(m.breakpoint(), Some((marks.inner, 1)), "{}: epoch consumed the breakpoint", engine.0);
+    }
+}
+
+/// Outer passes of [`scan_program`].
+const SCANS: u64 = 3;
+/// Offset of the 0xff byte each scan stops at (a `b.eq` side exit).
+const NEEDLE_AT: u64 = 25;
+
+/// Addresses of interest in the scan program.
+#[derive(Debug, Clone, Copy)]
+struct ScanMarks {
+    /// The scan loop's first instruction: a `ldrb` its own `b.ne` targets.
+    scan: u64,
+    /// The `cmp` inside the scan body.
+    body: u64,
+    /// The side-exit target after the `b.eq`.
+    found: u64,
+}
+
+/// The Figure 5 search loop (`ldrb; add; cmp; b.eq; subs; b.ne`) inside
+/// `SCANS` outer passes, each ending in a resumable `svc`; the byte
+/// scanned for is planted by an inline `strb`.
+fn scan_program() -> (Vec<u8>, ScanMarks) {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(0, SCANS);
+    a.mov_imm64(11, DATA);
+    a.mov_imm64(12, 0xff);
+    a.strb(12, 11, NEEDLE_AT);
+    let outer = a.label();
+    a.bind(outer);
+    a.mov_imm64(24, 40);
+    a.mov_reg(25, 11);
+    let scan = a.here();
+    let scan_l = a.label();
+    let found_l = a.label();
+    a.bind(scan_l);
+    a.ldrb(26, 25, 0);
+    a.add_imm(25, 25, 1);
+    let body = a.here();
+    a.cmp_imm(26, 0xff);
+    a.b_eq(found_l);
+    a.subs_imm(24, 24, 1);
+    a.b_ne(scan_l);
+    let found = a.here();
+    a.bind(found_l);
+    a.add_reg(14, 14, 24);
+    a.svc(0);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(outer);
+    a.svc(0);
+    (a.bytes(), ScanMarks { scan, body, found })
+}
+
+/// Run `code` to its final `svc` in `quantum`-instruction slices.
+fn finish_sliced(m: &mut Machine, quantum: u64) -> Final {
+    loop {
+        match m.run(quantum) {
+            Exit::Limit => {}
+            Exit::El2(ExceptionClass::Svc) if m.cpu.x[0] != 0 => {
+                let elr = m.sysreg(SysReg::ELR_EL2);
+                m.enter(PState::user(), elr);
+            }
+            exit => {
+                assert_eq!(exit, Exit::El2(ExceptionClass::Svc), "program must reach its final svc");
+                return (m.cpu.pc, m.cpu.insns, m.cpu.cycles, m.cpu.x, m.journal.dump_json());
+            }
+        }
+    }
+}
+
+#[test]
+fn breakpoints_and_quanta_stop_a_looping_block_exactly() {
+    let (code, k) = scan_program();
+    let unbroken: Vec<Final> = ENGINES.iter().map(|&e| finish(&mut machine_with(e, code.clone()))).collect();
+    assert_eq!(unbroken[1], unbroken[0], "engines disagree on the scan without any breakpoint");
+    let mut m = machine_with(ENGINES[1], code.clone());
+    finish(&mut m);
+    let fast = m.tlb.fast_stats();
+    assert!(fast.jit_loopbacks >= SCANS * (NEEDLE_AT - 4), "the scan block did not loop in-block: {fast:?}");
+    assert!(fast.dtlb_hits >= SCANS * (NEEDLE_AT - 4), "the scan's ldrb never went inline: {fast:?}");
+
+    // Stops at the looping block's start (every pass is an arrival,
+    // later hits reach into the next outer pass), inside its body, and
+    // at the side-exit target.
+    let cases: Vec<(&str, Vec<(u64, u64)>)> = vec![
+        ("scan start, first arrival", vec![(k.scan, 1)]),
+        ("scan start, second arrival", vec![(k.scan, 2)]),
+        ("scan start, mid-loop", vec![(k.scan, 12)]),
+        ("scan start, last pass", vec![(k.scan, NEEDLE_AT + 1)]),
+        ("scan start, next outer pass", vec![(k.scan, NEEDLE_AT + 9)]),
+        ("scan body", vec![(k.body, 1)]),
+        ("scan body, mid-loop", vec![(k.body, 17)]),
+        ("scan body, then scan start", vec![(k.body, 10), (k.scan, 3), (k.scan, 5)]),
+        ("side-exit target", vec![(k.found, 2)]),
+        ("scan start, then side-exit target", vec![(k.scan, 20), (k.found, 1)]),
+    ];
+    for (name, stops) in cases {
+        let run = |engine: (&str, bool)| {
+            let mut m = machine_with(engine, code.clone());
+            let mut seen = Vec::new();
+            for &(pc, hits) in &stops {
+                m.break_before(pc, hits);
+                assert_eq!(drive(&mut m), Exit::Limit, "{name}: {} never stopped at {pc:#x}", engine.0);
+                assert_eq!((m.breakpoint(), m.cpu.pc), (None, pc), "{name}: {} stopped wrongly", engine.0);
+                seen.push((m.cpu.pc, m.cpu.insns, m.cpu.cycles, m.journal.dump_json()));
+            }
+            (seen, finish(&mut m))
+        };
+        let (reference, ref_fin) = run(ENGINES[0]);
+        let (accel, fin) = run(ENGINES[1]);
+        assert_eq!(accel, reference, "{name}: the looping block stopped elsewhere than the reference");
+        assert_eq!(fin, ref_fin, "{name}: resumed to a different final state");
+        assert_eq!(fin, unbroken[0], "{name}: the stop left a trace");
+    }
+
+    // Quantum ends land mid-loop, in every segment of the scan block.
+    for quantum in [3u64, 5, 7, 11] {
+        for engine in ENGINES {
+            let fin = finish_sliced(&mut machine_with(engine, code.clone()), quantum);
+            assert_eq!(fin, unbroken[0], "{}: {quantum}-instruction slices changed the run", engine.0);
+        }
     }
 }

@@ -31,8 +31,15 @@ fn main() {
         b.asm.lz_map_gate_pgt_imm(t + 1, t); // gate t -> tenant t's table
         b.asm.lz_prot_imm(KEYS + t * 4096, 4096, t + 1, RW);
     }
-    // Exit gate back to the default table.
-    b.asm.lz_map_gate_pgt_imm(0, TENANTS);
+    // Gate ids are single-use (one per call site, paper §6.2): each
+    // tenant gets its own exit gate back to the default table, and the
+    // attack enters tenant 2's table through a gate of its own.
+    let exit_gate = |t: u64| TENANTS + t;
+    let attack_gate = 2 * TENANTS;
+    for t in 0..TENANTS {
+        b.asm.lz_map_gate_pgt_imm(0, exit_gate(t));
+    }
+    b.asm.lz_map_gate_pgt_imm(2 + 1, attack_gate);
 
     // Serve one request per tenant: enter the domain, fold the key into
     // the accumulator x22, leave.
@@ -42,10 +49,10 @@ fn main() {
         b.asm.mov_imm64(1, KEYS + t * 4096);
         b.asm.ldrb(2, 1, 0);
         b.asm.add_reg(22, 22, 2);
-        b.lz_switch_to_ttbr_gate(TENANTS as u16);
+        b.lz_switch_to_ttbr_gate(exit_gate(t) as u16);
     }
     // Attack: from tenant 2's domain, read tenant 5's key.
-    b.lz_switch_to_ttbr_gate(2);
+    b.lz_switch_to_ttbr_gate(attack_gate as u16);
     b.asm.mov_imm64(1, KEYS + 5 * 4096);
     b.asm.ldrb(2, 1, 0); // cross-tenant read: must be fatal
     b.asm.mov_reg(0, 22);

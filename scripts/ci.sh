@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI for the LightZone reproduction.
 #
-# Runs the format gate, the tier-1 verify (ROADMAP.md), the full
+# Runs the format gate, every example in release mode (exit status 0 and
+# its key success line), the tier-1 verify (ROADMAP.md), the full
 # workspace suite on the accelerated engine (the default, which also
 # runs the differential and parallel suites), on the reference engine
 # (LZ_ACCEL=0), and with the metrics journal disabled (acceleration and
@@ -12,7 +13,8 @@
 # byte-for-byte determinism re-run, emitted as BENCH_smp_scaling.json),
 # the simulator-throughput benchmark as BENCH_sim_throughput.json
 # (unified schema check + a MIPS floor on the median of 5 repetitions
-# so JIT/fast-path regressions fail loudly), the chaos soak (BENCH_chaos_soak.json: >=10k injected
+# and a floor on the memory leg's accelerated-to-reference ratio, so
+# JIT/fast-path regressions fail loudly), the chaos soak (BENCH_chaos_soak.json: >=10k injected
 # faults, zero invariant or containment violations, byte-reproducible,
 # and identical on the reference engine), the
 # attack-synthesis corpus gate (BENCH_attack_corpus.json: >=5 families,
@@ -39,6 +41,25 @@ cargo fmt --check
 
 echo "== build (workspace, all targets) =="
 cargo build --release --workspace --all-targets
+
+echo "== examples (release): each exits 0 and prints its key success line =="
+run_example() {
+    local name="$1" expect="$2" out
+    out=$(./target/release/examples/"$name") || {
+        echo "example $name exited non-zero" >&2
+        exit 1
+    }
+    grep -qF -- "$expect" <<<"$out" || {
+        echo "example $name did not print: $expect" >&2
+        exit 1
+    }
+    echo "  $name: ok"
+}
+run_example quickstart "violation (PAN left set)            -> terminated by LightZone (isolation violation)"
+run_example key_vault "cross-tenant read from the wrong domain: terminated by LightZone"
+run_example plugin_sandbox "malicious plugin (embedded eret)    -> rejected by the instruction sanitizer"
+run_example jit_wx "JIT ran twice: first + second result = 333 (expected 333)"
+run_example nvm_store "wild write from object 1 into object 3        -> terminated by LightZone before corrupting the store"
 
 echo "== tier-1 verify: cargo test -q (root package) =="
 cargo test -q --release
@@ -180,7 +201,16 @@ assert lo <= mips <= hi, f"median {mips} outside [{lo}, {hi}]"
 assert report["mips_mem_on_min"] <= report["mips_mem_on"] <= report["mips_mem_on_max"]
 jit = report["jit"]
 assert mips >= 120.0, f"JIT throughput regressed: median {mips} MIPS < 120"
-print(f"sim_throughput JSON ok: median {mips:.2f} MIPS on (min {lo:.2f}, max {hi:.2f}), jit={jit}, floor 120")
+# Memory-leg floor: the accelerated-to-reference ratio on the mixed
+# ALU + load/store loop, both engines timed in alternating pairs in one
+# process, so host speed largely cancels. Inline micro-DTLB loads and
+# stores with in-block loop-backs measured 4.0-4.9x over 12 runs
+# (2.3-3.0x over 4 runs before them); 3.0 fails a lost inline path,
+# not a slow host.
+mem_speedup = report["mem_speedup"]
+assert mem_speedup >= 3.0, f"memory-leg speedup regressed: {mem_speedup}x < 3.0x"
+print(f"sim_throughput JSON ok: median {mips:.2f} MIPS on (min {lo:.2f}, max {hi:.2f}), jit={jit}, floor 120; "
+      f"mem speedup {mem_speedup:.2f}x, floor 3.0")
 '
 cat BENCH_sim_throughput.json
 

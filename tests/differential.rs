@@ -957,3 +957,425 @@ fn walk_config_memo_matches_live_regs_exhaustively() {
         check(&k.machine, &format!("chaos-preempted SMP run, core {i}"));
     }
 }
+
+// ----------------------------------------------------------------------
+// Loop-resident compiled blocks: side exits, in-block loop-backs and
+// inline micro-DTLB loads and stores (DESIGN.md §13).
+// ----------------------------------------------------------------------
+
+/// A seeded loop nest. Counted loops branch back to their first
+/// instruction (an in-block loop-back once that instruction starts a
+/// compiled block), and their bodies mix ALU ops, loads and stores
+/// (inline on a micro-DTLB hit, including byte accesses and
+/// page-crossing ones that fall back), forward conditional skips (side
+/// exits), tight inner loops, byte scans that leave early on a match,
+/// and — when `traps` — resumable `svc`s. `x9` is mixed into the
+/// registers, so SMP cores running the same code diverge.
+fn random_loop_program(seed: u64, traps: bool) -> Vec<u8> {
+    use lz_arch::insn::{Cond, MemSize};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.mov_imm64(20, DATA + 0x1000);
+    a.mov_imm64(21, DATA + 0xffc);
+    for r in 0..8u8 {
+        a.mov_imm64(r, rng.raw_u64() & 0xffff);
+        a.add_reg(r, r, 9);
+    }
+    for _ in 0..rng.random_range(4u32..8) {
+        a.mov_imm64(11, rng.random_range(2u64..24));
+        let top = a.label();
+        a.bind(top);
+        for _ in 0..rng.random_range(2u32..10) {
+            let (rd, rn, rm) = (rng.random_range(0u8..8), rng.random_range(0u8..8), rng.random_range(0u8..8));
+            let base = if rng.random_bool() { 19 } else { 20 };
+            match rng.random_range(0u32..100) {
+                0..=29 => {
+                    match rng.random_range(0u32..5) {
+                        0 => a.add_reg(rd, rn, rm),
+                        1 => a.eor_reg(rd, rn, rm),
+                        2 => a.mul(rd, rn, rm),
+                        3 => a.add_imm(rd, rn, rng.random_range(0u16..4096)),
+                        _ => a.lsr_imm(rd, rn, rng.random_range(1u8..32)),
+                    };
+                }
+                30..=49 => {
+                    let off = rng.random_range(0u64..512) * 8;
+                    match rng.random_range(0u32..5) {
+                        0 => a.str(rd, base, off),
+                        1 => a.strb(rd, base, off + rng.random_range(0u64..8)),
+                        2 => a.ldrb(rd, base, off + rng.random_range(0u64..8)),
+                        3 => a.emit(Insn::LdrImm { rt: rd, rn: 21, offset: 0, size: MemSize::X }),
+                        _ => a.ldr(rd, base, off),
+                    };
+                }
+                50..=64 => {
+                    // Forward skip: a side exit whenever it is taken.
+                    let skip = a.label();
+                    match rng.random_range(0u32..3) {
+                        0 => {
+                            a.cmp_imm(rn, rng.random_range(0u16..64));
+                            a.b_cond(if rng.random_bool() { Cond::Eq } else { Cond::Hi }, skip);
+                        }
+                        1 => {
+                            a.and_reg(rd, rd, rn);
+                            a.cbz(rd, skip);
+                        }
+                        _ => {
+                            a.cbnz(rn, skip);
+                        }
+                    };
+                    for _ in 0..rng.random_range(1u32..4) {
+                        a.add_imm(rm, rm, 1);
+                    }
+                    a.bind(skip);
+                }
+                65..=79 => {
+                    // A tight inner loop back to its own first instruction.
+                    a.mov_imm64(12, rng.random_range(1u64..40));
+                    let inner = a.label();
+                    a.bind(inner);
+                    a.add_reg(rd, rd, rn);
+                    if rng.random_bool() {
+                        a.ldr(rm, base, rng.random_range(0u64..512) * 8);
+                    }
+                    if rng.random_bool() {
+                        a.subs_imm(12, 12, 1);
+                        a.b_ne(inner);
+                    } else {
+                        a.sub_imm(12, 12, 1);
+                        a.cbnz(12, inner);
+                    }
+                }
+                80..=93 => {
+                    // A byte scan for a byte value stores may have planted.
+                    let needle = rng.random_range(0u16..4);
+                    a.mov_imm64(13, rng.random_range(1u64..64));
+                    a.mov_imm64(14, DATA + rng.random_range(0u64..0x1f00));
+                    let scan = a.label();
+                    let found = a.label();
+                    a.bind(scan);
+                    a.ldrb(15, 14, 0);
+                    a.add_imm(14, 14, 1);
+                    a.cmp_imm(15, needle);
+                    a.b_eq(found);
+                    a.subs_imm(13, 13, 1);
+                    a.b_ne(scan);
+                    a.bind(found);
+                    a.add_reg(rd, rd, 13);
+                }
+                _ if traps => {
+                    a.svc(rng.random_range(1u16..100));
+                }
+                _ => {
+                    a.nop();
+                }
+            }
+        }
+        a.subs_imm(11, 11, 1);
+        a.b_ne(top);
+    }
+    a.svc(0);
+    let bytes = a.bytes();
+    assert!(bytes.len() <= 3 * 0x1000, "loop program overflowed the code pages");
+    bytes
+}
+
+/// Random loop nests, run whole and in 3/5/7/11-instruction slices
+/// (quantum ends land mid-loop, in every segment kind): identical
+/// snapshots and journals on both engines, with compiled blocks really
+/// looping in-block and taking inline micro-DTLB hits.
+#[test]
+fn loop_programs_agree_whole_and_sliced() {
+    let patch = patch_area(4);
+    let (mut loopbacks, mut dtlb_hits) = (0u64, 0u64);
+    for seed in 0..12u64 {
+        let code = random_loop_program(seed, true);
+        for quantum in [None, Some(3u64), Some(5), Some(7), Some(11)] {
+            let (mut on, mut off) = build_engine_pair(&code, &patch);
+            let run = |m: &mut Machine| match quantum {
+                Some(q) => run_sliced(m, q),
+                None => run_to_completion(m),
+            };
+            let (e_on, r_on) = run(&mut on);
+            let (e_off, r_off) = run(&mut off);
+            let ctx = format!("loop program, seed {seed}, quantum {quantum:?}");
+            assert_eq!(e_on, Exit::El2(ExceptionClass::Svc), "{ctx}: did not reach its svc");
+            assert_identical(snapshot(&on, e_on, r_on), snapshot(&off, e_off, r_off), &ctx);
+            assert_journals_identical(&on, &off, &ctx);
+            loopbacks += on.tlb.fast_stats().jit_loopbacks;
+            dtlb_hits += on.tlb.fast_stats().dtlb_hits;
+        }
+    }
+    assert!(loopbacks > 1_000, "compiled blocks barely looped in-block: {loopbacks} loop-backs");
+    assert!(dtlb_hits > 1_000, "looped loads and stores barely hit the micro-DTLB: {dtlb_hits}");
+}
+
+/// Two cores running random loop nests interleaved on 3/5/7/11-
+/// instruction quanta through the epoch executor: exits and every
+/// core's architectural state and counters agree on both engines.
+#[test]
+fn loop_programs_agree_on_smp_quanta() {
+    let patch = patch_area(4);
+    type Core = (u64, u64, u64, Vec<u64>, (u64, u64));
+    let run = |code: &[u8], accel: bool, quantum: u64| -> (Vec<Option<Exit>>, Vec<Core>, u64) {
+        let mut m = build_machine(code, &patch, accel);
+        let regime: Vec<(SysReg, u64)> =
+            [SysReg::TTBR0_EL1, SysReg::SCTLR_EL1, SysReg::HCR_EL2].iter().map(|&r| (r, m.sysreg(r))).collect();
+        m.configure_smp(2);
+        m.switch_core(1);
+        for &(r, v) in &regime {
+            m.set_sysreg(r, v);
+        }
+        m.cpu.x[9] = 0x5a5a;
+        m.enter(PState::user(), CODE);
+        m.switch_core(0);
+        let exits = m.run_interleaved(quantum, 0xC0FFEE, 2_000_000);
+        let mut loopbacks = 0;
+        let cores = (0..m.num_cores())
+            .map(|i| {
+                m.switch_core(i);
+                loopbacks += m.tlb.fast_stats().jit_loopbacks;
+                let c = &m.cpu;
+                (c.pc, c.insns, c.cycles, c.x.to_vec(), m.tlb.stats())
+            })
+            .collect();
+        (exits, cores, loopbacks)
+    };
+    let mut loopbacks = 0;
+    for seed in 0..8u64 {
+        let code = random_loop_program(100 + seed, false);
+        let quantum = [3u64, 5, 7, 11][seed as usize % 4];
+        let (exits_on, cores_on, lb) = run(&code, true, quantum);
+        let (exits_off, cores_off, _) = run(&code, false, quantum);
+        assert!(exits_on.iter().all(|e| *e == Some(Exit::El2(ExceptionClass::Svc))), "seed {seed}: a core hung");
+        assert_eq!(exits_on, exits_off, "seed {seed}, quantum {quantum}: exits diverged");
+        assert_eq!(cores_on, cores_off, "seed {seed}, quantum {quantum}: per-core state diverged");
+        loopbacks += lb;
+    }
+    assert!(loopbacks > 0, "no compiled block ever looped in-block on SMP quanta");
+}
+
+/// A store inside a counted loop rewrites the loop's first instruction
+/// on the fourth pass (the store's address is chosen by `csel`, so every
+/// other pass writes the data page and the block keeps looping in
+/// place): the rewritten instruction must run on every later pass.
+#[test]
+fn looped_store_rewriting_its_own_loop_agrees() {
+    use lz_arch::insn::{Cond, MemSize};
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(1, 8);
+    a.mov_imm64(17, DATA);
+    let top_va = CODE + 4 * 10;
+    a.mov_imm64(16, top_va);
+    a.mov_imm64(
+        9,
+        Insn::AddImm { rd: 2, rn: 2, imm12: 100, shift12: false, sub: false, set_flags: false }.encode() as u64,
+    );
+    assert!(a.here() <= top_va, "prologue overran the loop");
+    while a.here() < top_va {
+        a.nop();
+    }
+    let top = a.label();
+    a.bind(top);
+    a.add_imm(2, 2, 1);
+    a.cmp_imm(1, 5);
+    a.csel(10, 16, 17, Cond::Eq);
+    a.emit(Insn::StrImm { rt: 9, rn: 10, offset: 0, size: MemSize::W });
+    a.subs_imm(1, 1, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    for quantum in [None, Some(3u64), Some(5), Some(7), Some(11)] {
+        let (mut on, mut off) = build_engine_pair(&code, &patch_area(4));
+        let run = |m: &mut Machine| match quantum {
+            Some(q) => run_sliced(m, q),
+            None => run_to_completion(m),
+        };
+        let (e_on, r_on) = run(&mut on);
+        let (e_off, r_off) = run(&mut off);
+        let ctx = format!("self-rewriting loop, quantum {quantum:?}");
+        assert_eq!(off.cpu.reg(2), 4 + 4 * 100, "{ctx}: reference did not run the rewritten instruction");
+        assert_identical(snapshot(&on, e_on, r_on), snapshot(&off, e_off, r_off), &ctx);
+        assert_journals_identical(&on, &off, &ctx);
+        if quantum.is_none() {
+            assert!(on.tlb.fast_stats().jit_loopbacks > 0, "the self-rewriting loop never looped in-block");
+        }
+    }
+}
+
+/// EL1 code whose loop is closed by an exception instead of a branch:
+/// the loop's last instruction, an `stp` at the end of its page, writes
+/// its first half and faults on the second (the next page is unmapped),
+/// and `VBAR_EL1` vectors the same-EL data abort back to the loop's
+/// first instruction. On the pass where the first half hits the code
+/// page it rewrites the loop's third instruction, and nothing but the
+/// code-frame check at loop-back stands between the block and running
+/// that instruction stale.
+#[test]
+fn exception_closed_loop_rewriting_itself_agrees() {
+    use lz_arch::insn::Cond;
+    let top = CODE + 0xff0;
+    let add = |imm12| Insn::AddImm { rd: 2, rn: 2, imm12, shift12: false, sub: false, set_flags: false }.encode();
+    let stp = Insn::Stp { rt: 9, rt2: 9, rn: 11, offset: 0 }.encode();
+    let mut a = Asm::new(top);
+    a.subs_imm(1, 1, 1);
+    a.csel(11, 16, 17, Cond::Eq);
+    a.raw(add(1));
+    a.raw(stp);
+    let code = a.bytes();
+    let run = |accel: bool, quantum: u64| {
+        let mut m = Machine::new(Platform::CortexA55);
+        m.set_accel(accel);
+        m.set_metrics(true);
+        m.trace.set_enabled(true);
+        let root = alloc_table(&mut m.mem);
+        let el1_rwx = S1Perms { read: true, write: true, user_exec: false, priv_exec: true, el0: false, global: false };
+        let code_pa = m.mem.alloc_frame();
+        m.mem.write_bytes(code_pa + 0xff0, &code);
+        s1_map_page(&mut m.mem, root, CODE, code_pa, el1_rwx);
+        let data_pa = m.mem.alloc_frame();
+        s1_map_page(&mut m.mem, root, DATA, data_pa, el1_rwx);
+        m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, root));
+        m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
+        m.set_sysreg(SysReg::VBAR_EL1, top - 0x200);
+        m.cpu.x[1] = 12;
+        m.cpu.x[9] = u64::from(stp) << 32 | u64::from(add(100));
+        m.cpu.x[16] = top + 8;
+        m.cpu.x[17] = DATA + 0xff8;
+        m.cpu.pstate = PState::reset();
+        m.cpu.pc = top;
+        let mut left = 40 * 4;
+        while left > 0 {
+            let q = quantum.min(left);
+            assert_eq!(m.run(q), Exit::Limit, "the exception-closed loop left EL1");
+            left -= q;
+        }
+        let fast = m.tlb.fast_stats();
+        (snapshot(&m, Exit::Limit, 0), m.journal.dump_json(), fast.jit_loopbacks)
+    };
+    for quantum in [160u64, 3, 5, 7, 11] {
+        let (snap_on, journal_on, loopbacks) = run(true, quantum);
+        let (snap_off, journal_off, _) = run(false, quantum);
+        // 12 passes of +1 (the 12th writes the code page), 28 of +100.
+        assert_eq!(snap_off.regs[2], 12 + 28 * 100, "quantum {quantum}: reference missed the rewrite");
+        assert_identical(snap_on, snap_off, &format!("exception-closed loop, quantum {quantum}"));
+        assert_eq!(journal_on, journal_off, "quantum {quantum}: journals diverged");
+        if quantum == 160 {
+            assert!(loopbacks > 0, "the exception-closed loop never looped in-block");
+        }
+    }
+}
+
+/// A byte scan whose loads meet an EL0 read watchpoint on every outer
+/// pass (the host loop skips the watched load and resumes) and then run off
+/// the end of the mapped data into a page the host loop maps on demand at
+/// the first translation fault.
+#[test]
+fn looped_load_watchpoint_and_demand_fault_agree() {
+    use lz_machine::cpu::Watchpoint;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(0, 3);
+    let outer = a.label();
+    a.bind(outer);
+    a.mov_imm64(13, 0x180);
+    a.mov_imm64(14, DATA + 0x1f00);
+    let scan = a.label();
+    a.bind(scan);
+    a.ldrb(15, 14, 0);
+    a.add_reg(16, 16, 15);
+    a.add_imm(14, 14, 1);
+    a.subs_imm(13, 13, 1);
+    a.b_ne(scan);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(outer);
+    a.svc(0);
+    let code = a.bytes();
+    let run = |accel: bool| {
+        let mut m = build_machine(&code, &patch_area(4), accel);
+        m.set_metrics(true);
+        let fresh = m.mem.alloc_frame();
+        m.mem.write_bytes(fresh, &[7u8; 0x100]);
+        m.cpu.watchpoints[0] = Some(Watchpoint { addr: DATA + 0x1f40, len: 4, on_read: true, on_write: false });
+        m.cpu.watchpoints_enabled = true;
+        let (mut watch_hits, mut faults) = (0, 0);
+        let exit = loop {
+            match m.run(1_000_000) {
+                Exit::El2(ExceptionClass::WatchpointLower) => {
+                    watch_hits += 1;
+                    if watch_hits == 2 {
+                        // Lift the watchpoint for the rest of the run: the
+                        // same loads then go inline.
+                        m.cpu.watchpoints_enabled = false;
+                    }
+                    let elr = m.sysreg(SysReg::ELR_EL2);
+                    m.enter(PState::user(), elr + 4);
+                }
+                Exit::El2(ExceptionClass::DataAbortLower) => {
+                    faults += 1;
+                    let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+                    s1_map_page(&mut m.mem, root, DATA + 0x2000, fresh, lz_chaos::programs::user_rw());
+                    let elr = m.sysreg(SysReg::ELR_EL2);
+                    m.enter(PState::user(), elr);
+                }
+                exit => break exit,
+            }
+        };
+        assert_eq!((watch_hits, faults), (2, 1), "accel={accel}: unexpected trap mix");
+        (snapshot(&m, exit, 0), m.journal.dump_json(), m.tlb.fast_stats())
+    };
+    let (snap_on, journal_on, fast) = run(true);
+    let (snap_off, journal_off, _) = run(false);
+    assert_eq!(snap_off.exit, Exit::El2(ExceptionClass::Svc));
+    assert_identical(snap_on, snap_off, "watchpoint and demand fault in a looped load");
+    assert_eq!(journal_on, journal_off, "watchpoint/demand-fault journals diverged");
+    assert!(fast.jit_loopbacks > 0 && fast.dtlb_hits > 0, "the scan never looped with inline loads: {fast:?}");
+}
+
+/// A looped load from a page mapped to an unbacked frame: the first pass
+/// arms the micro-DTLB and takes the bus error on the slow path, every
+/// later pass hits the micro-DTLB inline and must raise the bus error
+/// without a second lookup (TLB statistics must match the reference).
+#[test]
+fn looped_load_bus_error_on_a_dtlb_hit_agrees() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(3, 6);
+    a.mov_imm64(18, DATA + 0x2000);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 18, 0);
+    a.add_imm(2, 2, 1);
+    a.subs_imm(3, 3, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let run = |accel: bool| {
+        let mut m = build_machine(&code, &patch_area(4), accel);
+        m.set_metrics(true);
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        // A frame far above anything the allocator hands out.
+        let unbacked = 0x40_0000_0000;
+        assert!(!m.mem.is_mapped(unbacked));
+        s1_map_page(&mut m.mem, root, DATA + 0x2000, unbacked, lz_chaos::programs::user_rw());
+        let mut bus_errors = 0;
+        let exit = loop {
+            match m.run(1_000_000) {
+                Exit::El2(ExceptionClass::DataAbortLower) => {
+                    bus_errors += 1;
+                    let elr = m.sysreg(SysReg::ELR_EL2);
+                    m.enter(PState::user(), elr + 4);
+                }
+                exit => break exit,
+            }
+        };
+        assert_eq!(bus_errors, 6, "accel={accel}: every pass must raise the bus error");
+        (snapshot(&m, exit, 0), m.journal.dump_json(), m.tlb.fast_stats().dtlb_hits)
+    };
+    let (snap_on, journal_on, dtlb_hits) = run(true);
+    let (snap_off, journal_off, _) = run(false);
+    assert_identical(snap_on, snap_off, "bus error on a micro-DTLB hit");
+    assert_eq!(journal_on, journal_off, "bus-error journals diverged");
+    assert!(dtlb_hits >= 4, "the looped load never hit the micro-DTLB ({dtlb_hits} hits)");
+}
