@@ -13,17 +13,9 @@
 //! folded into the same problem list.
 
 use crate::programs::{run_scenario, Scenario, ScenarioRun, ALL_SCENARIOS};
+use lz_machine::chaos::mix;
 use lz_machine::FaultPlan;
 use std::collections::BTreeSet;
-
-/// splitmix64 — local copy for deriving per-round seeds (the engine's
-/// own mixer is private to `lz_machine::chaos`).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One scenario, one seed, one plan: everything the report aggregates.
 #[derive(Debug, Clone)]

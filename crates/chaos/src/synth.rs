@@ -51,6 +51,7 @@ use lz_arch::pstate::PState;
 use lz_arch::sysreg::{ttbr, SysReg};
 use lz_arch::{Platform, PAGE_SIZE};
 use lz_kernel::{Event, VmProt};
+use lz_machine::chaos::mix;
 use std::collections::BTreeSet;
 
 /// Scratch page for decoy steps (legal attacker-owned memory).
@@ -66,14 +67,6 @@ pub const ESCAPE_FLOOR: usize = 2;
 /// The defenses whose ablation actually weakens the isolation boundary
 /// (the others are cost-model knobs — see the module docs).
 pub const SECURITY_DEFENSES: [Defense; 3] = [Defense::RemoteShootdown, Defense::GateCheckPhase, Defense::RandomizePhys];
-
-/// splitmix64 (local copy; the engine's mixer is private).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 // ---------------------------------------------------------------------
 // Attack families and steps

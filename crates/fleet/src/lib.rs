@@ -12,6 +12,10 @@
 //!   omission.
 //! * [`hist`] — a 256-bucket log2 histogram (no floats) whose quantiles
 //!   serialise byte-identically across runs.
+//! * `drive` — what both benchmarks share: one guest layout, one
+//!   boot step, one tenant-program scaffold (switch sequence, domain
+//!   prologue, gate-switch loop) and one epoch drain that hands each
+//!   core's exit to the caller's policy in core order.
 //! * [`sim`] — the benchmark itself: a resident pool of tenant VEs
 //!   running real assembled gate-switching programs, an open-loop
 //!   queueing overlay on the measured service times, and a churn phase
@@ -23,8 +27,10 @@
 //! * [`recovery`] — the chaos-driven crash-recovery soak: `ve_crash` /
 //!   `snapshot_corrupt` / `restart_storm` injection against a fleet of
 //!   request servers, warm restarts from request-boundary snapshots,
-//!   and per-restart invariant oracles (`repro recovery`).
+//!   and per-restart invariant oracles (`repro recovery`); the
+//!   supervisor is its policy on the shared epoch drain.
 
+mod drive;
 pub mod hist;
 pub mod load;
 pub mod recovery;

@@ -28,32 +28,21 @@
 //! - priority journal events (violations, chaos faults) survive
 //!   drop-oldest eviction.
 
+use crate::drive::{self, park, read_guest_u64, RESULTS_BASE, SEQ_BASE};
 use crate::hist::{LatSummary, Log2Hist};
-use crate::load::Lcg;
 use crate::supervisor::{FaultKind, FaultReport, Supervisor, SupervisorConfig, TenantState, Verdict};
-use lightzone::api::{LzAsm, LzProgram, LzProgramBuilder, RW, SAN_TTBR};
-use lightzone::gate::layout;
+use lightzone::api::LzProgram;
 use lightzone::module::VeSnapshot;
 use lightzone::{LightZone, SECURITY_KILL};
-use lz_arch::{Platform, PAGE_SIZE};
-use lz_kernel::kvm::VmidAllocator;
-use lz_kernel::{Pid, Sysno, VmProt};
+use lz_arch::Platform;
+use lz_kernel::{Pid, Sysno};
 use lz_machine::{EventKind, Exit, FaultPlan, FaultSite};
 use std::collections::VecDeque;
-
-const CODE: u64 = 0x40_0000;
-const SEQ_BASE: u64 = 0x2000_0000;
-/// The request counter lives at `RESULTS_BASE`; the watchdog reads it
-/// back after every epoch to detect progress.
-const RESULTS_BASE: u64 = 0x2800_0000;
-const ARENA_BASE: u64 = 0x3000_0000;
 
 /// Gate switches per request; [`PAIRS`] must be a multiple.
 const SWITCHES: u16 = 2;
 /// Length of the precomputed switch sequence (wrapped by the guest).
 const PAIRS: u64 = 32;
-/// Instructions per epoch (same quantum as the fleet wave drain).
-const QUANTUM: u64 = 16_384;
 /// Epochs between invariant probes (restarts probe unconditionally).
 const PROBE_EVERY: u64 = 64;
 
@@ -202,38 +191,24 @@ impl RecoveryRun {
     }
 }
 
-/// Build one infinite request-server guest.
+/// Build one infinite request-server guest: the shared prologue, then
+/// a request loop that publishes its counter at every boundary, wedges
+/// after `stuck_after` requests when asked, and wraps the switch
+/// sequence. The request counter lives at `RESULTS_BASE`; the watchdog
+/// reads it back after every epoch to detect progress.
 ///
 /// Register map (x0–x8 are syscall-clobbered): x17 gate target, x19
 /// arena page, x20 results base, x21 sequence cursor, x22 request
 /// counter (stored to `RESULTS_BASE` at every boundary), x23 switch
 /// countdown, x24 sequence-wrap countdown, x25 stuck countdown.
 fn server_prog(domains: usize, seq_seed: u64, stuck_after: Option<u64>) -> LzProgram {
-    let mut lcg = Lcg::new(seq_seed);
-    let mut seq = Vec::with_capacity(PAIRS as usize * 16);
-    for _ in 0..PAIRS {
-        let d = lcg.below(domains as u64);
-        seq.extend_from_slice(&layout::gate_va(d as u16).to_le_bytes());
-        seq.extend_from_slice(&(ARENA_BASE + d * PAGE_SIZE).to_le_bytes());
-    }
-
-    let mut b = LzProgramBuilder::new(CODE);
-    b.with_segment(SEQ_BASE, seq, VmProt::R);
-    b.with_segment(RESULTS_BASE, vec![0u8; PAGE_SIZE as usize], VmProt::RW);
-    b.with_segment(ARENA_BASE, vec![0u8; domains * PAGE_SIZE as usize], VmProt::RW);
-
-    b.asm.lz_enter(true, SAN_TTBR);
-    for d in 0..domains as u64 {
-        b.asm.lz_alloc();
-        b.asm.lz_map_gate_pgt_imm(d + 1, d);
-        b.asm.lz_prot_imm(ARENA_BASE + d * PAGE_SIZE, PAGE_SIZE, d + 1, RW);
-    }
+    let mut b = drive::tenant_prologue(domains, PAIRS as usize, seq_seed);
     b.asm.mov_imm64(20, RESULTS_BASE);
     b.asm.mov_imm64(21, SEQ_BASE);
     b.asm.mov_imm64(22, 0);
     b.asm.mov_imm64(24, PAIRS);
-    if stuck_after.is_some() {
-        b.asm.mov_imm64(25, stuck_after.unwrap_or(0) + 1);
+    if let Some(stuck_after) = stuck_after {
+        b.asm.mov_imm64(25, stuck_after + 1);
     }
     let req_top = b.asm.label();
     b.asm.bind(req_top);
@@ -251,17 +226,7 @@ fn server_prog(domains: usize, seq_seed: u64, stuck_after: Option<u64>) -> LzPro
     // Request boundary: publish the counter, then serve the request.
     b.asm.add_imm(22, 22, 1);
     b.asm.str(22, 20, 0);
-    b.asm.mov_imm64(23, SWITCHES as u64);
-    let sw_top = b.asm.label();
-    b.asm.bind(sw_top);
-    b.asm.ldr(17, 21, 0);
-    b.asm.ldr(19, 21, 8);
-    b.asm.add_imm(21, 21, 16);
-    b.asm.blr(17);
-    let entry = b.here(); // the single ENTRY shared by every gate
-    b.asm.ldr(1, 19, 0);
-    b.asm.subs_imm(23, 23, 1);
-    b.asm.b_ne(sw_top);
+    let entry = drive::gate_switches(&mut b, SWITCHES as u64);
     // One kernel round trip per request: the trap is where `ve_crash`
     // consultations happen.
     b.asm.mov_imm64(8, Sysno::Gettid.nr());
@@ -274,18 +239,7 @@ fn server_prog(domains: usize, seq_seed: u64, stuck_after: Option<u64>) -> LzPro
     b.asm.mov_imm64(24, PAIRS);
     b.asm.bind(no_wrap);
     b.asm.b(req_top);
-    for g in 0..domains as u16 {
-        b.register_gate_entry(g, entry);
-    }
-    b.build()
-}
-
-/// Read one u64 from a live guest's memory; 0 if never populated.
-fn read_guest_u64(lz: &LightZone, pid: Pid, va: u64) -> u64 {
-    let Some(pa) = lz.kernel.process(pid).mm.page_at(va & !(PAGE_SIZE - 1)) else {
-        return 0;
-    };
-    lz.kernel.machine.mem.read_u64(pa + (va & (PAGE_SIZE - 1))).unwrap_or(0)
+    drive::tenant_build(b, domains, entry)
 }
 
 /// Everything the soak tracks per tenant slot, outside the supervisor.
@@ -314,19 +268,28 @@ fn counter_sample(lz: &LightZone) -> [u64; 5] {
     ]
 }
 
+/// Hand a fault to the supervisor, with the `restart_storm` draw that
+/// may compress its backoff; a quarantine replaces the slot with a fresh
+/// generation. Returns whether it did.
+fn strike(lz: &mut LightZone, sup: &mut Supervisor, report: FaultReport) -> bool {
+    let storm = lz.kernel.machine.chaos_fire(FaultSite::RestartStorm).is_some();
+    if storm {
+        lz.kernel.machine.chaos.contained();
+    }
+    let quarantined = sup.on_fault(report, storm) == Verdict::Quarantine;
+    if quarantined {
+        sup.replace(report.slot, report.epoch);
+    }
+    quarantined
+}
+
 /// Execute one full recovery soak.
 pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
     assert!(cfg.cores >= 1 && cfg.tenants >= 1 && cfg.domains_per_tenant >= 1);
-    let mut lz = LightZone::new_host(cfg.platform);
+    let mut lz = drive::boot(cfg.platform, cfg.vmid_space, cfg.cores);
     // The priority-lane invariant below reads the journal, so record it
     // whatever the `LZ_METRICS` default is.
     lz.kernel.machine.set_metrics(true);
-    if let Some(space) = cfg.vmid_space {
-        lz.kernel.vmids = VmidAllocator::with_space(space);
-    }
-    if cfg.cores > 1 {
-        lz.kernel.machine.configure_smp(cfg.cores);
-    }
     let frame_baseline = lz.kernel.machine.mem.allocated_frames();
     lz.kernel.machine.chaos.install(
         FaultPlan::new(cfg.seed)
@@ -409,21 +372,14 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
             if sup.try_admit(s, core, ready[core].len(), epoch).is_err() {
                 continue;
             }
+            // Restore rebuilds its VE on this core; park the
+            // incumbent's registers first.
+            park(&mut lz, core, occupant[core].take().and_then(|prev| slots[prev].pid));
             // Warm path: restore from the last request-boundary
             // snapshot under a fresh generation-tagged VMID/ASID. The
             // `snapshot_corrupt` site flips one byte first; the digest
             // check then refuses the image fail-closed and the tenant
             // retries cold after another strike's backoff.
-            lz.kernel.machine.switch_core(core);
-            if let Some(prev) = occupant[core].take() {
-                // Restore rebuilds its VE on this core; park the
-                // incumbent's registers first.
-                if let Some(prev_pid) = slots[prev].pid {
-                    lz.kernel.set_current(prev_pid);
-                    lz.kernel.save_current();
-                    lz.kernel.clear_current();
-                }
-            }
             if slots[s].snapshot.is_some() {
                 if let Some(draw) = lz.kernel.machine.chaos_fire(FaultSite::SnapshotCorrupt) {
                     lz.kernel.machine.chaos.contained();
@@ -442,14 +398,7 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
                     // Refused image: drop it, report the typed fault.
                     slots[s].snapshot = None;
                     slots[s].recovering = true;
-                    let report = FaultReport { slot: s, kind: FaultKind::SnapshotCorrupt, epoch };
-                    let storm = lz.kernel.machine.chaos_fire(FaultSite::RestartStorm).is_some();
-                    if storm {
-                        lz.kernel.machine.chaos.contained();
-                    }
-                    if sup.on_fault(report, storm) == Verdict::Quarantine {
-                        sup.replace(s, epoch);
-                    }
+                    strike(&mut lz, &mut sup, FaultReport { slot: s, kind: FaultKind::SnapshotCorrupt, epoch });
                     None
                 }
                 None => Some(lz.spawn(&slots[s].prog)),
@@ -478,53 +427,38 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
         // Schedule: one ready tenant per core, round-robin. Swapping
         // the incumbent out goes through park (save to context) +
         // `schedule_to` (the costed VE scheduling path).
-        let mut budgets = vec![0u64; cfg.cores];
         let mut sched: Vec<Option<usize>> = vec![None; cfg.cores];
+        let mut jobs: Vec<Option<Pid>> = vec![None; cfg.cores];
         for core in 0..cfg.cores {
             let Some(s) = ready[core].pop_front() else { continue };
             let Some(pid) = slots[s].pid else { continue };
             if occupant[core] != Some(s) {
-                lz.kernel.machine.switch_core(core);
-                if let Some(prev) = occupant[core].take() {
-                    if let Some(prev_pid) = slots[prev].pid {
-                        lz.kernel.set_current(prev_pid);
-                        lz.kernel.save_current();
-                        lz.kernel.clear_current();
-                    }
-                }
+                park(&mut lz, core, occupant[core].take().and_then(|prev| slots[prev].pid));
                 lz.schedule_to(pid);
                 lz.kernel.clear_current();
                 occupant[core] = Some(s);
             }
             sched[core] = Some(s);
-            budgets[core] = QUANTUM;
+            jobs[core] = Some(pid);
         }
-        if budgets.iter().all(|&b| b == 0) {
+        if jobs.iter().all(Option::is_none) {
             continue; // everyone is backing off; let the clock run
         }
-        let results = lz.kernel.machine.run_epoch(&budgets);
 
-        // Barrier: service traps, detect deaths, feed the watchdog —
-        // in core order, so both epoch backends agree byte-for-byte.
-        for core in 0..cfg.cores {
-            let Some(s) = sched[core] else { continue };
-            let Some(pid) = slots[s].pid else { continue };
-            let (exit, used) = results[core];
+        // Barrier: the supervisor policy sees each core right after its
+        // trap is serviced — detect deaths, feed the watchdog, refresh
+        // snapshots — in core order, so both epoch backends agree
+        // byte-for-byte.
+        drive::drain_epoch(&mut lz, &mut jobs, |lz, core, pid, exit, used, event| {
+            let Some(s) = sched[core] else { return false };
             let deadline_blown = sup.on_insns(s, used);
-            let mut dead = false;
-            if exit != Exit::Limit {
-                lz.kernel.machine.switch_core(core);
-                lz.kernel.set_current(pid);
-                dead = lz.dispatch_exit(exit).is_some();
-                lz.kernel.clear_current();
-            }
             let mut fault: Option<FaultKind> = None;
-            if dead {
+            if event.is_some() {
                 // The VE died mid-request (injected crash / violation /
                 // contained host panic): already exited, just reap.
                 fault = Some(FaultKind::Crash);
             } else {
-                let req = read_guest_u64(&lz, pid, RESULTS_BASE);
+                let req = read_guest_u64(lz, pid, RESULTS_BASE);
                 if req > slots[s].last_req {
                     let delta = req - slots[s].last_req;
                     slots[s].last_req = req;
@@ -533,10 +467,7 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
                     if req - slots[s].last_snap_req >= cfg.snapshot_every {
                         // Request boundary: refresh the warm-restart
                         // image from the parked register file.
-                        lz.kernel.machine.switch_core(core);
-                        lz.kernel.set_current(pid);
-                        lz.kernel.save_current();
-                        lz.kernel.clear_current();
+                        park(lz, core, Some(pid));
                         if let Some(snap) = lz.snapshot_ve(pid) {
                             slots[s].snapshot = Some(snap);
                             slots[s].last_snap_req = req;
@@ -559,29 +490,24 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
                     lz.kernel.kill_current(SECURITY_KILL);
                 }
             }
-            match fault {
-                None => ready[core].push_back(s),
-                Some(kind) => {
-                    if !lz.reap(pid) {
-                        violations += 1;
-                    }
-                    slots[s].pid = None;
-                    if occupant[core] == Some(s) {
-                        occupant[core] = None;
-                    }
-                    slots[s].recovering = true;
-                    let storm = lz.kernel.machine.chaos_fire(FaultSite::RestartStorm).is_some();
-                    if storm {
-                        lz.kernel.machine.chaos.contained();
-                    }
-                    if sup.on_fault(FaultReport { slot: s, kind, epoch }, storm) == Verdict::Quarantine {
-                        slots[s].snapshot = None;
-                        slots[s].recovering = false;
-                        sup.replace(s, epoch);
-                    }
-                }
+            let Some(kind) = fault else {
+                ready[core].push_back(s);
+                return true;
+            };
+            if !lz.reap(pid) {
+                violations += 1;
             }
-        }
+            slots[s].pid = None;
+            if occupant[core] == Some(s) {
+                occupant[core] = None;
+            }
+            slots[s].recovering = true;
+            if strike(lz, &mut sup, FaultReport { slot: s, kind, epoch }) {
+                slots[s].snapshot = None;
+                slots[s].recovering = false;
+            }
+            false
+        });
 
         if epoch % PROBE_EVERY == 0 {
             probe(&lz, &mut last_sample, warm_restarts, sup.stats.snapshot_corruptions, &mut violations);
@@ -667,6 +593,21 @@ mod tests {
         assert!(run.priority_events >= 1, "fault events survive journal eviction");
         assert!(run.recovery_epochs.samples == run.warm_restarts + run.cold_restarts);
         assert!(run.recovery_epochs.p50 >= 1);
+    }
+
+    #[test]
+    fn one_core_soak_runs_in_place_under_the_supervisor() {
+        // One core: every epoch runs in place, with no shell, through
+        // the same drain as the fleet's resident phase.
+        let cfg = RecoveryConfig::smoke(1);
+        let a = run_recovery(&cfg);
+        let b = run_recovery(&cfg);
+        assert_eq!(a, b);
+        assert_eq!(a.json(), b.json());
+        assert_eq!(a.invariant_violations, 0, "invariants held across every restart");
+        assert_eq!(a.faults_contained, a.faults_injected, "every fault contained");
+        assert!(a.warm_restarts >= 1, "warm restarts = {}", a.warm_restarts);
+        assert!(a.quarantines >= 1, "the wedged tenant must strike out");
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Three phases over **one** LightZone instance:
 //!
-//! 1. **Resident pool** — `tenants` VEs are spawned and run to
-//!    completion, each a *real assembled guest program* (alternating
-//!    httpd/oltp [`FleetShape`]s) that allocates `domains_per_tenant`
-//!    isolation domains and serves `requests_per_tenant` requests
-//!    through call gates, self-timing every request with
-//!    `CLOCK_GETTIME` reads the host later reads back from guest
-//!    memory. Tenants stay resident after exit (their module state is
+//! 1. **Resident pool** — `tenants` VEs are spawned in waves of
+//!    `cores` (tenant `t` on core `t % cores`) and drained to
+//!    completion by the shared epoch drain, each a *real assembled
+//!    guest program* (alternating httpd/oltp [`FleetShape`]s) that
+//!    allocates `domains_per_tenant` isolation domains and serves
+//!    `requests_per_tenant` requests through call gates, self-timing
+//!    every request with `CLOCK_GETTIME` reads the host later reads
+//!    back from guest memory. Tenants stay resident after exit (their module state is
 //!    not reaped), so the domain population peaks at
 //!    `tenants * (domains_per_tenant + 1)`.
 //! 2. **Open-loop overlay** — a seeded exponential arrival schedule
@@ -17,10 +18,11 @@
 //!    to core `t % cores`). Queue wait is `start - arrival`; a
 //!    saturated core shows up as p99/p999 latency, never as a reduced
 //!    rate (no coordinated omission).
-//! 3. **Churn** — `churn_ves` minimal VEs are spawned, run, and reaped
-//!    back to back. With enough churn the VMID space rolls over and the
-//!    generation-tagged allocator starts recycling, which is what the
-//!    rollover-shootdown counters (and the penetration tests) exercise.
+//! 3. **Churn** — `churn_ves` minimal VEs are spawned, drained (one
+//!    epoch-drain job on core 0 each), and reaped back to back. With
+//!    enough churn the VMID space rolls over and the generation-tagged
+//!    allocator starts recycling, which is what the rollover-shootdown
+//!    counters (and the penetration tests) exercise.
 //!
 //! Everything is integer arithmetic over deterministic seeds, so two
 //! runs of the same config produce byte-identical [`FleetRun`]s.
@@ -30,29 +32,16 @@
 //! window, producing a deterministic latency tail — that is what the
 //! p999 column is for.
 
+use crate::drive::{self, read_guest_u64, CODE, RESULTS_BASE, SEQ_BASE};
 use crate::hist::{LatSummary, Log2Hist};
-use crate::load::{Lcg, OpenLoop};
-use lightzone::api::{LzAsm, LzProgram, LzProgramBuilder, RW, SAN_PAN, SAN_TTBR};
-use lightzone::gate::layout;
+use crate::load::OpenLoop;
+use lightzone::api::{LzAsm, LzProgram, LzProgramBuilder, SAN_PAN};
 use lightzone::LightZone;
 use lz_arch::{Platform, PAGE_SIZE};
-use lz_kernel::kvm::VmidAllocator;
-use lz_kernel::{Event, Pid, Sysno, VmProt};
+use lz_kernel::{Event, Pid, Sysno};
 use lz_workloads::FleetShape;
 
-const CODE: u64 = 0x40_0000;
-/// The per-request switch sequence (pairs of 8-byte words).
-const SEQ_BASE: u64 = 0x2000_0000;
-/// Calibration + per-request timing results, read back by the host.
-const RESULTS_BASE: u64 = 0x2800_0000;
-/// Per-domain 4 KB arena pages.
-const ARENA_BASE: u64 = 0x3000_0000;
-
 const RUN_LIMIT: u64 = 400_000_000;
-/// Instructions per epoch in the multi-core wave drain. Tenants share
-/// no memory, so the quantum only balances barrier overhead against
-/// trap-handling latency (a pending VE exit waits out the epoch).
-const FLEET_QUANTUM: u64 = 16_384;
 
 /// One fleet benchmark configuration.
 #[derive(Debug, Clone)]
@@ -167,7 +156,8 @@ impl FleetRun {
     }
 }
 
-/// Build one tenant's guest program.
+/// Build one tenant's guest program: the shared prologue, a warm-up
+/// and calibration, then `requests` self-timed requests.
 ///
 /// Register map (x0–x8 are syscall-clobbered, everything else persists
 /// across traps): x17 gate target, x19 current domain's arena page,
@@ -177,29 +167,9 @@ impl FleetRun {
 fn tenant_prog(shape: FleetShape, domains: usize, requests: usize, seq_seed: u64) -> LzProgram {
     let switches = shape.switches_per_request as usize;
     let pairs = requests * switches;
-    let mut lcg = Lcg::new(seq_seed);
-    let mut seq = Vec::with_capacity(pairs * 16);
-    for _ in 0..pairs {
-        let d = lcg.below(domains as u64);
-        seq.extend_from_slice(&layout::gate_va(d as u16).to_le_bytes());
-        seq.extend_from_slice(&(ARENA_BASE + d * PAGE_SIZE).to_le_bytes());
-    }
     let seq_pages = (pairs * 16).div_ceil(PAGE_SIZE as usize) as u64;
-
-    let mut b = LzProgramBuilder::new(CODE);
-    b.with_segment(SEQ_BASE, seq, VmProt::R);
-    b.with_segment(RESULTS_BASE, vec![0u8; PAGE_SIZE as usize], VmProt::RW);
-    b.with_segment(ARENA_BASE, vec![0u8; domains * PAGE_SIZE as usize], VmProt::RW);
     assert!(8 + requests * 16 <= PAGE_SIZE as usize, "results ring fits one page");
-
-    b.asm.lz_enter(true, SAN_TTBR);
-    // Setup: one table + gate + 4 KB arena page per domain. lz_alloc
-    // returns deterministic table ids 1..=domains.
-    for d in 0..domains as u64 {
-        b.asm.lz_alloc();
-        b.asm.lz_map_gate_pgt_imm(d + 1, d);
-        b.asm.lz_prot_imm(ARENA_BASE + d * PAGE_SIZE, PAGE_SIZE, d + 1, RW);
-    }
+    let mut b = drive::tenant_prologue(domains, pairs, seq_seed);
     // Warm the sequence pages in the default domain (arena pages stay
     // cold on purpose — their first-touch faults are the latency tail).
     b.asm.mov_imm64(21, SEQ_BASE);
@@ -231,22 +201,13 @@ fn tenant_prog(shape: FleetShape, domains: usize, requests: usize, seq_seed: u64
     b.asm.mov_imm64(8, clock);
     b.asm.svc(0);
     b.asm.mov_reg(24, 0); // t0
-    b.asm.mov_imm64(23, switches as u64);
-    let sw_top = b.asm.label();
-    b.asm.bind(sw_top);
-    b.asm.ldr(17, 21, 0); // gate address
-    b.asm.ldr(19, 21, 8); // arena page of the target domain
-    b.asm.add_imm(21, 21, 16);
-    b.asm.blr(17);
-    let entry = b.here(); // the single ENTRY shared by every gate
-    b.asm.ldr(1, 19, 0); // 8-byte access in the entered domain
-    b.asm.subs_imm(23, 23, 1);
-    b.asm.b_ne(sw_top);
+    let entry = drive::gate_switches(&mut b, switches as u64);
     b.asm.mov_imm64(8, clock);
     b.asm.svc(0);
     b.asm.sub_reg(26, 0, 24); // t1 - t0: switch section
-                              // Kernel round trips (Gettid: a no-op syscall that does not
-                              // reschedule), then application data work on the current arena.
+
+    // Kernel round trips (Gettid: a no-op syscall that does not
+    // reschedule), then application data work on the current arena.
     let tid = Sysno::Gettid.nr();
     for _ in 0..shape.syscalls_per_request {
         b.asm.mov_imm64(8, tid);
@@ -264,10 +225,7 @@ fn tenant_prog(shape: FleetShape, domains: usize, requests: usize, seq_seed: u64
     b.asm.subs_imm(22, 22, 1);
     b.asm.b_ne(req_top);
     b.asm.exit_imm(0);
-    for g in 0..domains as u16 {
-        b.register_gate_entry(g, entry);
-    }
-    b.build()
+    drive::tenant_build(b, domains, entry)
 }
 
 /// The churn-phase program: a minimal VE that enters and exits.
@@ -278,13 +236,21 @@ fn churn_prog() -> LzProgram {
     b.build()
 }
 
-/// Read one u64 from an (exited but unreaped) guest's memory; 0 if the
-/// address was never populated.
-fn read_guest_u64(lz: &LightZone, pid: Pid, va: u64) -> u64 {
-    let Some(pa) = lz.kernel.process(pid).mm.page_at(va & !(PAGE_SIZE - 1)) else {
-        return 0;
-    };
-    lz.kernel.machine.mem.read_u64(pa + (va & (PAGE_SIZE - 1))).unwrap_or(0)
+/// Drain `jobs` (at most one VE per core) through the epoch drain
+/// until each has exited with status 0; `name(core)` labels a failure.
+fn drain_to_exit(lz: &mut LightZone, jobs: &mut [Option<Pid>], name: impl Fn(usize) -> String) {
+    let mut spent = vec![0u64; jobs.len()];
+    while jobs.iter().any(Option::is_some) {
+        drive::drain_epoch(lz, jobs, |_, core, _, _, used, event| {
+            spent[core] += used;
+            assert!(spent[core] <= RUN_LIMIT, "{} did not exit cleanly", name(core));
+            match event {
+                None => true,
+                Some(Event::Exited(0)) => false,
+                Some(ev) => panic!("{} did not exit cleanly: {ev:?}", name(core)),
+            }
+        });
+    }
 }
 
 /// Execute one full fleet run.
@@ -295,115 +261,60 @@ fn read_guest_u64(lz: &LightZone, pid: Pid, va: u64) -> u64 {
 /// benchmark doubles as an end-to-end invariant check.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     assert!(cfg.cores >= 1 && cfg.tenants >= 1 && cfg.domains_per_tenant >= 1);
-    let mut lz = LightZone::new_host(cfg.platform);
-    if let Some(space) = cfg.vmid_space {
-        lz.kernel.vmids = VmidAllocator::with_space(space);
-    }
-    if cfg.cores > 1 {
-        lz.kernel.machine.configure_smp(cfg.cores);
-    }
+    let mut lz = drive::boot(cfg.platform, cfg.vmid_space, cfg.cores);
     let shapes = [lz_workloads::httpd::fleet_shape(), lz_workloads::oltp::fleet_shape()];
 
-    // Phase 1: resident tenants. On one core each runs to completion
-    // sequentially; on an SMP machine every wave of `cores` tenants
-    // drains *concurrently* on the epoch executor — each tenant pinned
-    // to core `t % cores`, executing [`FLEET_QUANTUM`]-instruction
-    // epochs with all VE traps handled barrier-side in core order, so
-    // the drain is byte-deterministic on both the parallel and the
-    // replay backend.
+    // Phase 1: resident tenants, in waves of `cores` that drain
+    // *concurrently* on the epoch drain — each tenant pinned to core
+    // `t % cores`, executing [`drive::QUANTUM`]-instruction epochs with
+    // all VE traps handled barrier-side in core order, so the drain is
+    // byte-deterministic on both the parallel and the replay backend.
+    // On one core each wave is one tenant, run in place.
+    let n = cfg.cores;
     let mut services: Vec<Vec<u64>> = Vec::with_capacity(cfg.tenants);
     let mut switch_hist = Log2Hist::new();
     let mut service_hist = Log2Hist::new();
-    let spawn_tenant = |lz: &mut LightZone, t: usize| {
-        let shape = shapes[t % shapes.len()];
-        let prog = tenant_prog(
-            shape,
-            cfg.domains_per_tenant,
-            cfg.requests_per_tenant,
-            cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9),
-        );
-        let pid = lz.spawn(&prog);
-        // `schedule_to`, not `enter_process`: the previous tenant left
-        // the core in VE state (HCR/VBAR/VTTBR), and the scheduler path
-        // restores the host configuration for a fresh process.
-        lz.schedule_to(pid);
-        pid
-    };
-    let mut record_tenant = |lz: &LightZone, t: usize, pid: Pid, services: &mut Vec<Vec<u64>>| {
-        let shape = shapes[t % shapes.len()];
-        let calib = read_guest_u64(lz, pid, RESULTS_BASE);
-        let s = (shape.switches_per_request as u64).max(1);
-        let mut per_tenant = Vec::with_capacity(cfg.requests_per_tenant);
-        for r in 0..cfg.requests_per_tenant as u64 {
-            let sw = read_guest_u64(lz, pid, RESULTS_BASE + 8 + r * 16);
-            let rq = read_guest_u64(lz, pid, RESULTS_BASE + 16 + r * 16);
-            switch_hist.record(sw.saturating_sub(calib) / s);
-            let service = rq.saturating_sub(2 * calib).max(1);
-            service_hist.record(service);
-            per_tenant.push(service);
+    for wave in 0..cfg.tenants.div_ceil(n) {
+        // Set up the wave: one tenant per core, entered via the costed
+        // VE scheduling path on its own core. `cur` is cleared between
+        // set-ups — with several processes live at once the active
+        // register state belongs to the core, not to a single
+        // kernel-wide current process.
+        let first = wave * n;
+        let mut jobs: Vec<Option<Pid>> = vec![None; n];
+        for (core, t) in (first..(first + n).min(cfg.tenants)).enumerate() {
+            lz.kernel.machine.switch_core(core);
+            let shape = shapes[t % shapes.len()];
+            let seq_seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9);
+            let pid = lz.spawn(&tenant_prog(shape, cfg.domains_per_tenant, cfg.requests_per_tenant, seq_seed));
+            // `schedule_to`, not `enter_process`: the previous tenant
+            // left the core in VE state (HCR/VBAR/VTTBR), and the
+            // scheduler path restores the host configuration for a
+            // fresh process.
+            lz.schedule_to(pid);
+            lz.kernel.clear_current();
+            jobs[core] = Some(pid);
         }
-        services.push(per_tenant);
-    };
-    if cfg.cores == 1 {
-        for t in 0..cfg.tenants {
-            let pid = spawn_tenant(&mut lz, t);
-            let ev = lz.run(RUN_LIMIT);
-            assert_eq!(ev, Event::Exited(0), "tenant {t} did not exit cleanly");
-            record_tenant(&lz, t, pid, &mut services);
+        let pids = jobs.clone();
+        drain_to_exit(&mut lz, &mut jobs, |core| format!("tenant {}", first + core));
+        for (core, pid) in pids.into_iter().enumerate() {
+            let Some(pid) = pid else { continue };
+            let shape = shapes[(first + core) % shapes.len()];
+            let calib = read_guest_u64(&lz, pid, RESULTS_BASE);
+            let s = (shape.switches_per_request as u64).max(1);
+            let mut per_tenant = Vec::with_capacity(cfg.requests_per_tenant);
+            for r in 0..cfg.requests_per_tenant as u64 {
+                let sw = read_guest_u64(&lz, pid, RESULTS_BASE + 8 + r * 16);
+                let rq = read_guest_u64(&lz, pid, RESULTS_BASE + 16 + r * 16);
+                switch_hist.record(sw.saturating_sub(calib) / s);
+                let service = rq.saturating_sub(2 * calib).max(1);
+                service_hist.record(service);
+                per_tenant.push(service);
+            }
+            services.push(per_tenant);
         }
-    } else {
-        let n = cfg.cores;
-        for wave in 0..cfg.tenants.div_ceil(n) {
-            // Set up the wave: one tenant per core, entered via the
-            // costed VE scheduling path on its own core. `cur` is
-            // cleared between set-ups — with several processes live at
-            // once the active register state belongs to the core, not
-            // to a single kernel-wide current process.
-            let tenants: Vec<usize> = (wave * n..((wave + 1) * n).min(cfg.tenants)).collect();
-            let mut jobs: Vec<(usize, Pid, usize)> = Vec::with_capacity(tenants.len());
-            for &t in &tenants {
-                lz.kernel.machine.switch_core(t % n);
-                let pid = spawn_tenant(&mut lz, t);
-                lz.kernel.clear_current();
-                jobs.push((t % n, pid, t));
-            }
-            // Drain the wave in epochs until every tenant exited.
-            let mut done = vec![false; jobs.len()];
-            let mut spent = vec![0u64; jobs.len()];
-            while done.iter().any(|&d| !d) {
-                let mut budgets = vec![0u64; n];
-                for (j, &(core, ..)) in jobs.iter().enumerate() {
-                    if !done[j] {
-                        budgets[core] = FLEET_QUANTUM;
-                    }
-                }
-                let results = lz.kernel.machine.run_epoch(&budgets);
-                for (j, &(core, pid, t)) in jobs.iter().enumerate() {
-                    if done[j] {
-                        continue;
-                    }
-                    let (exit, used) = results[core];
-                    spent[j] += used;
-                    assert!(spent[j] <= RUN_LIMIT, "tenant {t} did not exit cleanly");
-                    if exit == lz_machine::Exit::Limit {
-                        continue;
-                    }
-                    lz.kernel.machine.switch_core(core);
-                    lz.kernel.set_current(pid);
-                    match lz.dispatch_exit(exit) {
-                        None => {}
-                        Some(Event::Exited(0)) => done[j] = true,
-                        Some(ev) => panic!("tenant {t} did not exit cleanly: {ev:?}"),
-                    }
-                    lz.kernel.clear_current();
-                }
-            }
-            for &(_, pid, t) in &jobs {
-                record_tenant(&lz, t, pid, &mut services);
-            }
-        }
-        lz.kernel.machine.switch_core(0);
     }
+    lz.kernel.machine.switch_core(0);
     let domains_live_peak = lz.module.domains_live();
 
     // Phase 2: open-loop queueing overlay over the measured services.
@@ -427,8 +338,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     for i in 0..cfg.churn_ves {
         let pid = lz.spawn(&churn);
         lz.schedule_to(pid);
-        let ev = lz.run(RUN_LIMIT);
-        assert_eq!(ev, Event::Exited(0), "churn VE {i} did not exit cleanly");
+        lz.kernel.clear_current();
+        let mut jobs: Vec<Option<Pid>> = vec![None; n];
+        jobs[0] = Some(pid);
+        drain_to_exit(&mut lz, &mut jobs, |_| format!("churn VE {i}"));
         assert!(lz.reap(pid), "churn VE {i} could not be reaped");
     }
 

@@ -188,12 +188,15 @@ impl FaultSite {
     }
 }
 
-fn lcg(x: u64) -> u64 {
+/// One step of the 64-bit LCG (Knuth's MMIX constants) behind every
+/// seeded stream in the workspace.
+pub fn lcg(x: u64) -> u64 {
     x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
 }
 
-/// splitmix64 finalizer — stream separation for per-site seeds.
-fn mix(mut x: u64) -> u64 {
+/// splitmix64 finalizer — stream separation for per-site seeds and
+/// per-round seed derivation.
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

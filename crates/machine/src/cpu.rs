@@ -884,19 +884,16 @@ impl Machine {
     /// holds its translation, charging exactly what `data_access`
     /// charges on that hit: zero translation cost and one `mem_access`.
     /// Returns `None`, having changed nothing, where `execute` must run
-    /// the access instead: an EL0 access while watchpoints are enabled,
-    /// a page-crossing access, or a micro-DTLB miss. (Blocks never run
+    /// the access instead: an access that matches a watchpoint, a
+    /// page-crossing access, or a micro-DTLB miss. (Blocks never run
     /// in the bare identity regime, which bypasses the TLB: `step_block`
     /// steps there.) A hit that meets a bus error raises it directly,
     /// since a second lookup would count the TLB hit twice.
     #[inline]
     fn access_inline(&mut self, op: &crate::jit::MemOp, cfg: &WalkConfig, next_pc: u64) -> Option<Option<Exit>> {
         let el = self.cpu.pstate.el;
-        if self.cpu.watchpoints_enabled && el == ExceptionLevel::El0 {
-            return None;
-        }
         let va = self.cpu.base_reg(op.rn).wrapping_add(op.offset);
-        if (va & 0xfff) + op.bytes > 4096 {
+        if (va & 0xfff) + op.bytes > 4096 || self.watchpoint_hit(va, op.bytes, op.store) {
             return None;
         }
         let pan = self.cpu.pstate.pan;
@@ -1309,6 +1306,17 @@ impl Machine {
         None
     }
 
+    /// Whether a `bytes`-wide access at `va` matches an armed
+    /// watchpoint (watchpoints see EL0 accesses while enabled).
+    #[inline]
+    fn watchpoint_hit(&self, va: u64, bytes: u64, is_write: bool) -> bool {
+        self.cpu.watchpoints_enabled
+            && self.cpu.pstate.el == ExceptionLevel::El0
+            && self.cpu.watchpoints.iter().flatten().any(|wp| {
+                va < wp.addr + wp.len && va + bytes > wp.addr && if is_write { wp.on_write } else { wp.on_read }
+            })
+    }
+
     fn data_access(
         &mut self,
         va: u64,
@@ -1318,18 +1326,12 @@ impl Machine {
         unpriv: bool,
         next_pc: u64,
     ) -> Option<Exit> {
-        // Watchpoint match (EL0 accesses while enabled).
-        if self.cpu.watchpoints_enabled && self.cpu.pstate.el == ExceptionLevel::El0 {
-            for wp in self.cpu.watchpoints.iter().flatten() {
-                let hit = va < wp.addr + wp.len && va + size.bytes() > wp.addr;
-                if hit && ((is_write && wp.on_write) || (!is_write && wp.on_read)) {
-                    let esr = (ExceptionClass::WatchpointLower.ec() << 26) | ((is_write as u64) << 6);
-                    self.set_sysreg(SysReg::FAR_EL1, va);
-                    self.set_sysreg(SysReg::FAR_EL2, va);
-                    let target = self.svc_target();
-                    return self.take_exception(target, ExceptionClass::WatchpointLower, esr, va, 0, self.cpu.pc);
-                }
-            }
+        if self.watchpoint_hit(va, size.bytes(), is_write) {
+            let esr = (ExceptionClass::WatchpointLower.ec() << 26) | ((is_write as u64) << 6);
+            self.set_sysreg(SysReg::FAR_EL1, va);
+            self.set_sysreg(SysReg::FAR_EL2, va);
+            let target = self.svc_target();
+            return self.take_exception(target, ExceptionClass::WatchpointLower, esr, va, 0, self.cpu.pc);
         }
 
         let cfg = self.walk_config();
@@ -1566,6 +1568,30 @@ mod tests {
         s1_map_page(&mut m.mem, root, DATA + 0x1000, pa, user_data_perms());
         assert_eq!(m.run(100), Exit::El2(ExceptionClass::Svc));
         assert_eq!(m.cpu.reg(2), 0x1122_3344_5566_7788);
+    }
+
+    #[test]
+    fn inline_access_falls_back_only_on_a_watchpoint_match() {
+        // The slow-path `ldr` arms the micro-DTLB for DATA; then an
+        // inline load of DATA+0x10 runs under an unrelated watchpoint
+        // and falls back to `execute` under an overlapping one.
+        let mut a = Asm::new(CODE);
+        a.mov_imm64(0, DATA);
+        a.ldr(2, 0, 0x10);
+        a.svc(0);
+        let mut m = machine_with(a);
+        m.set_accel(true);
+        assert_eq!(m.run(100), Exit::El2(ExceptionClass::Svc));
+        m.cpu.pstate = PState::user();
+        let insn = Insn::LdrImm { rt: 3, rn: 0, offset: 0x10, size: MemSize::X };
+        let op = crate::jit::MemOp { rt: 3, rn: 0, store: false, bytes: 8, offset: 0x10, word: insn.encode(), insn };
+        let cfg = m.walk_config();
+        m.cpu.watchpoints_enabled = true;
+        m.cpu.watchpoints[0] = Some(Watchpoint { addr: DATA + 0x800, len: 8, on_read: true, on_write: true });
+        m.cpu.watchpoints[1] = Some(Watchpoint { addr: DATA + 0x10, len: 8, on_read: false, on_write: true });
+        assert_eq!(m.access_inline(&op, &cfg, CODE), Some(None), "no watchpoint matches this read");
+        m.cpu.watchpoints[1] = Some(Watchpoint { addr: DATA + 0x14, len: 1, on_read: true, on_write: false });
+        assert_eq!(m.access_inline(&op, &cfg, CODE), None, "an overlapping read watchpoint must trap");
     }
 
     #[test]

@@ -33,6 +33,13 @@
 # report between the host-threaded backend and sequential replay), and
 # an unwrap/expect ratchet over the isolation-stack sources so
 # guest-reachable panics cannot creep back in (DESIGN.md §11).
+#
+# The four deterministic reports (BENCH_chaos_soak.json,
+# BENCH_attack_corpus.json, BENCH_fleet.json, BENCH_recovery.json) are
+# compared byte for byte against the committed files before the rerun
+# and replay compares, as `repro fig5` is against its golden copy: a
+# change that moves a modelled number fails here instead of rewriting
+# the report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -214,8 +221,12 @@ print(f"sim_throughput JSON ok: median {mips:.2f} MIPS on (min {lo:.2f}, max {hi
 '
 cat BENCH_sim_throughput.json
 
-echo "== repro chaos -> BENCH_chaos_soak.json (soak + determinism + reference engine) =="
-./target/release/repro chaos --json > BENCH_chaos_soak.json
+echo "== repro chaos = BENCH_chaos_soak.json (committed file + soak + determinism + reference engine) =="
+./target/release/repro chaos --json > /tmp/chaos.json
+cmp BENCH_chaos_soak.json /tmp/chaos.json || {
+    echo "chaos soak differs from the committed BENCH_chaos_soak.json" >&2
+    exit 1
+}
 ./target/release/repro chaos --json > /tmp/chaos_rerun.json
 cmp BENCH_chaos_soak.json /tmp/chaos_rerun.json || {
     echo "chaos soak is not byte-reproducible" >&2
@@ -243,8 +254,12 @@ print(f"chaos soak JSON ok: {injected} faults, {kills} kills, 0 violations")
 '
 cat BENCH_chaos_soak.json
 
-echo "== repro attacks -> BENCH_attack_corpus.json (corpus gate + determinism) =="
-./target/release/repro attacks --json > BENCH_attack_corpus.json
+echo "== repro attacks = BENCH_attack_corpus.json (committed file + corpus gate + determinism) =="
+./target/release/repro attacks --json > /tmp/attacks.json
+cmp BENCH_attack_corpus.json /tmp/attacks.json || {
+    echo "attack corpus differs from the committed BENCH_attack_corpus.json" >&2
+    exit 1
+}
 ./target/release/repro attacks --json > /tmp/attacks_rerun.json
 cmp BENCH_attack_corpus.json /tmp/attacks_rerun.json || {
     echo "attack corpus is not byte-reproducible" >&2
@@ -274,8 +289,12 @@ print(f"attack corpus JSON ok: {len(families)} families, 0 escapes defenses-on, 
 '
 cat BENCH_attack_corpus.json
 
-echo "== repro fleet -> BENCH_fleet.json (latency floors + determinism + replay) =="
-./target/release/repro fleet --json > BENCH_fleet.json
+echo "== repro fleet = BENCH_fleet.json (committed file + latency floors + determinism + replay) =="
+./target/release/repro fleet --json > /tmp/fleet.json
+cmp BENCH_fleet.json /tmp/fleet.json || {
+    echo "fleet benchmark differs from the committed BENCH_fleet.json" >&2
+    exit 1
+}
 ./target/release/repro fleet --json > /tmp/fleet_rerun.json
 cmp BENCH_fleet.json /tmp/fleet_rerun.json || {
     echo "fleet benchmark is not byte-reproducible" >&2
@@ -320,8 +339,12 @@ print(f"fleet JSON ok: {peak} domains, {rolls} rollover(s), request p99 {p99_one
 '
 cat BENCH_fleet.json
 
-echo "== repro recovery -> BENCH_recovery.json (soak floors + determinism + replay) =="
-./target/release/repro recovery --json > BENCH_recovery.json
+echo "== repro recovery = BENCH_recovery.json (committed file + soak floors + determinism + replay) =="
+./target/release/repro recovery --json > /tmp/recovery.json
+cmp BENCH_recovery.json /tmp/recovery.json || {
+    echo "recovery soak differs from the committed BENCH_recovery.json" >&2
+    exit 1
+}
 ./target/release/repro recovery --json > /tmp/recovery_rerun.json
 cmp BENCH_recovery.json /tmp/recovery_rerun.json || {
     echo "recovery soak is not byte-reproducible" >&2
@@ -412,8 +435,9 @@ ratchet crates/core/src/fakephys.rs 0
 ratchet crates/kernel/src/kernel.rs 21
 ratchet crates/chaos/src/attacks.rs 0
 ratchet crates/chaos/src/synth.rs 0
-# The fleet crate (sim, supervisor, recovery soak) is guest-adjacent
+# The fleet crate (drive, sim, supervisor, recovery soak) is guest-adjacent
 # control-plane code and stays unwrap-free outside tests.
+ratchet crates/fleet/src/drive.rs 0
 ratchet crates/fleet/src/hist.rs 0
 ratchet crates/fleet/src/load.rs 0
 ratchet crates/fleet/src/sim.rs 0

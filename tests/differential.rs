@@ -1272,7 +1272,8 @@ fn exception_closed_loop_rewriting_itself_agrees() {
 /// A byte scan whose loads meet an EL0 read watchpoint on every outer
 /// pass (the host loop skips the watched load and resumes) and then run off
 /// the end of the mapped data into a page the host loop maps on demand at
-/// the first translation fault.
+/// the first translation fault. A second run arms the watchpoint away from
+/// the scanned bytes: it never fires, and the loads stay inline under it.
 #[test]
 fn looped_load_watchpoint_and_demand_fault_agree() {
     use lz_machine::cpu::Watchpoint;
@@ -1293,12 +1294,12 @@ fn looped_load_watchpoint_and_demand_fault_agree() {
     a.b_ne(outer);
     a.svc(0);
     let code = a.bytes();
-    let run = |accel: bool| {
+    let run = |accel: bool, watch: u64| {
         let mut m = build_machine(&code, &patch_area(4), accel);
         m.set_metrics(true);
         let fresh = m.mem.alloc_frame();
         m.mem.write_bytes(fresh, &[7u8; 0x100]);
-        m.cpu.watchpoints[0] = Some(Watchpoint { addr: DATA + 0x1f40, len: 4, on_read: true, on_write: false });
+        m.cpu.watchpoints[0] = Some(Watchpoint { addr: watch, len: 4, on_read: true, on_write: false });
         m.cpu.watchpoints_enabled = true;
         let (mut watch_hits, mut faults) = (0, 0);
         let exit = loop {
@@ -1307,7 +1308,7 @@ fn looped_load_watchpoint_and_demand_fault_agree() {
                     watch_hits += 1;
                     if watch_hits == 2 {
                         // Lift the watchpoint for the rest of the run: the
-                        // same loads then go inline.
+                        // watched load then stops trapping.
                         m.cpu.watchpoints_enabled = false;
                     }
                     let elr = m.sysreg(SysReg::ELR_EL2);
@@ -1323,15 +1324,30 @@ fn looped_load_watchpoint_and_demand_fault_agree() {
                 exit => break exit,
             }
         };
-        assert_eq!((watch_hits, faults), (2, 1), "accel={accel}: unexpected trap mix");
-        (snapshot(&m, exit, 0), m.journal.dump_json(), m.tlb.fast_stats())
+        (
+            watch_hits,
+            faults,
+            m.cpu.watchpoints_enabled,
+            snapshot(&m, exit, 0),
+            m.journal.dump_json(),
+            m.tlb.fast_stats(),
+        )
     };
-    let (snap_on, journal_on, fast) = run(true);
-    let (snap_off, journal_off, _) = run(false);
-    assert_eq!(snap_off.exit, Exit::El2(ExceptionClass::Svc));
-    assert_identical(snap_on, snap_off, "watchpoint and demand fault in a looped load");
-    assert_eq!(journal_on, journal_off, "watchpoint/demand-fault journals diverged");
-    assert!(fast.jit_loopbacks > 0 && fast.dtlb_hits > 0, "the scan never looped with inline loads: {fast:?}");
+    // Watched: inside the scanned bytes. Unwatched: past their end.
+    for (watch, hits, what) in [(DATA + 0x1f40, 2, "watched"), (DATA + 0x2800, 0, "unwatched")] {
+        let (hits_on, faults_on, armed, snap_on, journal_on, fast) = run(true, watch);
+        let (hits_off, faults_off, _, snap_off, journal_off, _) = run(false, watch);
+        assert_eq!((hits_on, faults_on), (hits, 1), "{what}, accelerated: unexpected trap mix");
+        assert_eq!((hits_off, faults_off), (hits, 1), "{what}, reference: unexpected trap mix");
+        assert_eq!(armed, hits < 2, "{what}: the watchpoint is lifted only after its second hit");
+        assert_eq!(snap_off.exit, Exit::El2(ExceptionClass::Svc));
+        assert_identical(snap_on, snap_off, &format!("{what} watchpoint and demand fault in a looped load"));
+        assert_eq!(journal_on, journal_off, "{what}: watchpoint/demand-fault journals diverged");
+        assert!(
+            fast.jit_loopbacks > 0 && fast.dtlb_hits > 0,
+            "{what}: the scan never looped with inline loads: {fast:?}"
+        );
+    }
 }
 
 /// A looped load from a page mapped to an unbacked frame: the first pass
